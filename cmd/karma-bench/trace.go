@@ -87,7 +87,7 @@ func exportWinner(pe *dist.Planned, method string, cfgIdx int, cl hw.Cluster, gp
 			ho.Phased = true
 			return pe.ExportHybrid(cfg, cl, mp, gpus, batch, openWTSamples, false, ho)
 		case "karma-dp":
-			return pe.ExportKARMA(model.Transformer(cfg), cl, gpus, batch, openWTSamples, ko)
+			return pe.ExportKARMA(dist.CachedTransformer(cfg), cl, gpus, batch, openWTSamples, ko)
 		case "pipeline":
 			ho.Phased = true
 			return pe.ExportPipeline(cfg, cl, mp, gpus, batch, benchMicro(fo, batch), openWTSamples, ho)
@@ -106,10 +106,10 @@ func exportWinner(pe *dist.Planned, method string, cfgIdx int, cl hw.Cluster, gp
 		ho.Phased = true
 		return pe.ExportHybrid(cfg, cl, mp, gpus, zbatch, openWTSamples, true, ho)
 	case "karma-dp":
-		return pe.ExportKARMA(model.Transformer(cfg), cl, gpus, batch, openWTSamples, ko)
+		return pe.ExportKARMA(dist.CachedTransformer(cfg), cl, gpus, batch, openWTSamples, ko)
 	case "zero+karma":
 		ko.ZeROShard = true
-		return pe.ExportKARMA(model.Transformer(cfg), cl, gpus, batch, openWTSamples, ko)
+		return pe.ExportKARMA(dist.CachedTransformer(cfg), cl, gpus, batch, openWTSamples, ko)
 	case "pipeline":
 		ho.Phased = true
 		micro := benchMicro(fo, batch*pipeStages) // capacity sweep floor

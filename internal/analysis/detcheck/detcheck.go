@@ -49,6 +49,9 @@ var Analyzer = &analysis.Analyzer{
 		// worker counts; an unordered iteration in the renderer would
 		// shuffle events between identical requests.
 		"karma/internal/trace",
+		// The one cache primitive behind every memo and the response
+		// cache; an ordering leak there would reach every cached value.
+		"karma/internal/flight",
 	},
 	Run: run,
 }

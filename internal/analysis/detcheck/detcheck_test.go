@@ -13,7 +13,7 @@ func TestDetcheck(t *testing.T) {
 
 func TestAppliesTo(t *testing.T) {
 	a := detcheck.Analyzer
-	for _, pkg := range []string{"karma/internal/experiments", "karma/internal/dist", "karma/internal/karma"} {
+	for _, pkg := range []string{"karma/internal/experiments", "karma/internal/dist", "karma/internal/karma", "karma/internal/flight"} {
 		if !a.AppliesTo(pkg) {
 			t.Errorf("detcheck should apply to %s", pkg)
 		}

@@ -136,7 +136,10 @@ func infeasible(gpus, globalBatch int, format string, args ...any) *Result {
 // time, tagged with the analytic backend the package-level functions
 // implement (the planned evaluator re-tags what it simulates).
 func finalize(iter unit.Seconds, gpus, globalBatch, samples int) *Result {
-	iters := (samples + globalBatch - 1) / globalBatch
+	iters := samples / globalBatch // ceil without overflowing near MaxInt
+	if samples%globalBatch != 0 {
+		iters++
+	}
 	return &Result{
 		Feasible:    true,
 		EpochTime:   unit.Seconds(float64(iters) * float64(iter)),
@@ -156,6 +159,9 @@ func validateRun(cl hw.Cluster, gpus, batch, samples int) error {
 	}
 	if batch <= 0 {
 		return fmt.Errorf("dist: per-replica batch must be positive, got %d", batch)
+	}
+	if batch > math.MaxInt/gpus {
+		return fmt.Errorf("dist: global batch %d x %d overflows", gpus, batch)
 	}
 	if samples <= 0 {
 		return fmt.Errorf("dist: sample count must be positive, got %d", samples)

@@ -67,26 +67,36 @@ func TestKARMABlockTooLarge(t *testing.T) {
 	}
 }
 
+// TestKARMAArgumentErrors checks that malformed runs are errors under
+// both backends — including request-derived counts whose global batch
+// would overflow int, which once panicked (divide by zero) or reported
+// a zero global batch.
 func TestKARMAArgumentErrors(t *testing.T) {
 	cl := hw.ABCI()
 	g := model.SmallCNN()
-	if _, err := KARMADataParallel(nil, cl, 4, 32, samples, KARMAOptions{}); err == nil {
-		t.Error("nil graph should error")
-	}
-	if _, err := KARMADataParallel(g, cl, 0, 32, samples, KARMAOptions{}); err == nil {
-		t.Error("zero GPUs should error")
-	}
-	if _, err := KARMADataParallel(g, cl, 4, 0, samples, KARMAOptions{}); err == nil {
-		t.Error("zero batch should error")
-	}
-	if _, err := KARMADataParallel(g, cl, 4, 32, 0, KARMAOptions{}); err == nil {
-		t.Error("zero samples should error")
-	}
-	if _, err := MegatronHybrid(smallLM(), cl, 0, 16, 4, samples, HybridOptions{}); err == nil {
-		t.Error("non-positive MP factor should error")
-	}
-	if _, err := ZeRO(model.TransformerConfig{}, cl, 1, 16, 4, samples, HybridOptions{}); err == nil {
-		t.Error("degenerate transformer config should error")
+	for _, ev := range []Evaluator{Analytic{}, NewPlanned()} {
+		cases := []struct {
+			name string
+			run  func() (*Result, error)
+		}{
+			{"nil graph", func() (*Result, error) { return ev.KARMADataParallel(nil, cl, 4, 32, samples, KARMAOptions{}) }},
+			{"zero GPUs", func() (*Result, error) { return ev.KARMADataParallel(g, cl, 0, 32, samples, KARMAOptions{}) }},
+			{"zero batch", func() (*Result, error) { return ev.KARMADataParallel(g, cl, 4, 0, samples, KARMAOptions{}) }},
+			{"zero samples", func() (*Result, error) { return ev.KARMADataParallel(g, cl, 4, 32, 0, KARMAOptions{}) }},
+			{"non-positive MP factor", func() (*Result, error) { return ev.MegatronHybrid(smallLM(), cl, 0, 16, 4, samples, HybridOptions{}) }},
+			{"degenerate transformer", func() (*Result, error) {
+				return ev.ZeRO(model.TransformerConfig{}, cl, 1, 16, 4, samples, HybridOptions{})
+			}},
+			{"dp global batch overflow", func() (*Result, error) { return ev.DataParallel(g, cl, 8, 1<<62, samples) }},
+			{"karma-dp global batch overflow", func() (*Result, error) {
+				return ev.KARMADataParallel(g, cl, 1<<62, 4, samples, KARMAOptions{})
+			}},
+		}
+		for _, tc := range cases {
+			if r, err := tc.run(); err == nil {
+				t.Errorf("%s %s: got %+v, want an error", ev.Name(), tc.name, r)
+			}
+		}
 	}
 }
 
@@ -153,29 +163,33 @@ func TestKARMAEpochTimeMonotonicInGPUs(t *testing.T) {
 	}
 }
 
+// TestResultDerivedFields checks the fields finalize derives, up to a
+// sample count of MaxInt (whose epoch once overflowed negative).
 func TestResultDerivedFields(t *testing.T) {
 	cl := hw.ABCI()
 	g := model.SmallCNN()
 	const gpus, batch = 16, 32
-	r, err := KARMADataParallel(g, cl, gpus, batch, samples, KARMAOptions{})
-	if err != nil {
-		t.Fatalf("KARMADataParallel: %v", err)
-	}
-	if !r.Feasible {
-		t.Fatalf("infeasible: %s", r.Reason)
-	}
-	if r.GlobalBatch != gpus*batch {
-		t.Errorf("GlobalBatch = %d, want %d", r.GlobalBatch, gpus*batch)
-	}
-	if got, want := r.IterPerSec, 1/float64(r.IterTime); math.Abs(got-want) > 1e-9*want {
-		t.Errorf("IterPerSec = %v, want %v", got, want)
-	}
-	iters := (samples + r.GlobalBatch - 1) / r.GlobalBatch
-	if got, want := float64(r.EpochTime), float64(iters)*float64(r.IterTime); math.Abs(got-want) > 1e-6*want {
-		t.Errorf("EpochTime = %v, want %v", got, want)
-	}
-	if got, want := r.CostPerf, float64(gpus)*float64(r.IterTime)/float64(r.GlobalBatch); math.Abs(got-want) > 1e-9*want {
-		t.Errorf("CostPerf = %v, want %v", got, want)
+	for _, n := range []int{samples, math.MaxInt} {
+		r, err := KARMADataParallel(g, cl, gpus, batch, n, KARMAOptions{})
+		if err != nil {
+			t.Fatalf("samples %d: KARMADataParallel: %v", n, err)
+		}
+		if !r.Feasible {
+			t.Fatalf("samples %d: infeasible: %s", n, r.Reason)
+		}
+		if r.GlobalBatch != gpus*batch {
+			t.Errorf("samples %d: GlobalBatch = %d, want %d", n, r.GlobalBatch, gpus*batch)
+		}
+		if got, want := r.IterPerSec, 1/float64(r.IterTime); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("samples %d: IterPerSec = %v, want %v", n, got, want)
+		}
+		iters := math.Ceil(float64(n) / float64(r.GlobalBatch))
+		if got, want := float64(r.EpochTime), iters*float64(r.IterTime); math.Abs(got-want) > 1e-6*want {
+			t.Errorf("samples %d: EpochTime = %v, want %v", n, got, want)
+		}
+		if got, want := r.CostPerf, float64(gpus)*float64(r.IterTime)/float64(r.GlobalBatch); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("samples %d: CostPerf = %v, want %v", n, got, want)
+		}
 	}
 }
 

@@ -1,8 +1,7 @@
 package dist
 
 import (
-	"sync"
-
+	"karma/internal/flight"
 	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/karma"
@@ -12,203 +11,34 @@ import (
 	"karma/internal/unit"
 )
 
-// defaultMemoLimit is the entry bound a zero memo gets. It is set far
-// above the distinct-key count of any batch sweep (a full Fig. 8 +
-// Table IV/V + topology run touches a few hundred keys), so the CLI
-// sweeps never see an eviction, while a long-running daemon serving
-// request-derived keys stays bounded instead of growing for the life of
-// the process.
-const defaultMemoLimit = 8192
+// memoLimit is the entry bound of every evaluator cache (flight.Cache).
+// It is set far above the distinct-key count of any batch sweep (a full
+// Fig. 8 + Table IV/V + topology run touches a few hundred keys), so
+// the CLI sweeps never see an eviction, while a long-running daemon
+// serving request-derived keys stays bounded instead of growing for the
+// life of the process.
+const memoLimit = 8192
 
-// memo is a bounded, singleflight-style concurrent cache: the first
-// caller of a key computes it while concurrent callers of the same key
-// block on that one computation, and distinct keys compute in parallel —
-// the property the parallel sweep engine needs from the shared evaluator
-// caches (one mutex around the compute would serialize every worker; no
-// dedup would compute each shared grid-point profile once per worker).
-//
-// Two properties make the memo safe to hold for the life of a daemon
-// process (karma-serve), where keys derive from client requests:
-//
-//   - Entries are bounded by an LRU policy (limit, defaulting to
-//     defaultMemoLimit): inserting a fresh key beyond the bound evicts
-//     the least-recently-used entry. Every cached computation is a pure
-//     function of its key, so eviction can never change a result — a
-//     re-computed entry is bit-identical to the evicted one — it only
-//     trades memory for recompute time.
-//   - Errors are never retained: a computation that fails is removed as
-//     soon as its error is observed, so the next lookup of that key
-//     retries instead of serving a stale failure forever. Callers that
-//     were already blocked on the failing flight share its error (that
-//     is the singleflight contract); callers arriving after it resolved
-//     start a fresh computation.
-//
-// The zero memo is ready to use.
-type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	// limit bounds the entry count; 0 means defaultMemoLimit. Set it
-	// before first use (tests shrink it to force eviction churn).
-	limit int
-	m     map[K]*memoEntry[K, V]
-	// Doubly-linked LRU list threaded through the entries; front is the
-	// most recently used, back the eviction candidate. The list head is
-	// a sentinel so link surgery has no nil special cases.
-	lru memoList[K, V]
-	// Counters for the /stats surface of karma-serve (read via stats()).
-	hits, misses, evictions uint64
-}
-
-type memoEntry[K comparable, V any] struct {
-	key        K
-	once       sync.Once
-	v          V
-	err        error
-	prev, next *memoEntry[K, V]
-}
-
-// memoList is the intrusive LRU ring; root.next is the front.
-type memoList[K comparable, V any] struct {
-	root memoEntry[K, V]
-}
-
-func (l *memoList[K, V]) init() {
-	l.root.prev = &l.root
-	l.root.next = &l.root
-}
-
-func (l *memoList[K, V]) pushFront(e *memoEntry[K, V]) {
-	e.prev = &l.root
-	e.next = l.root.next
-	e.prev.next = e
-	e.next.prev = e
-}
-
-func (l *memoList[K, V]) remove(e *memoEntry[K, V]) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-}
-
-func (l *memoList[K, V]) back() *memoEntry[K, V] {
-	if l.root.prev == &l.root {
-		return nil
+// must unwraps a lookup whose computation cannot fail: a non-nil error
+// is a construction panic the cache captured, re-raised here.
+func must[V any](v V, err error) V {
+	if err != nil {
+		panic(err)
 	}
-	return l.root.prev
-}
-
-// do returns the cached value for k, computing it with fn exactly once
-// across all concurrent callers. A nil error caches the value (until
-// LRU eviction); a non-nil error is propagated to every caller of the
-// in-flight computation and then forgotten, so later callers retry.
-func (c *memo[K, V]) do(k K, fn func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[K]*memoEntry[K, V]{}
-		c.lru.init()
-	}
-	e := c.m[k]
-	if e != nil {
-		c.hits++
-		c.lru.remove(e)
-		c.lru.pushFront(e)
-	} else {
-		c.misses++
-		e = &memoEntry[K, V]{key: k}
-		c.m[k] = e
-		c.lru.pushFront(e)
-		limit := c.limit
-		if limit <= 0 {
-			limit = defaultMemoLimit
-		}
-		// Evicting an entry whose computation is still in flight is
-		// harmless: its waiters hold the entry pointer and complete on
-		// it; the entry is merely no longer findable, exactly as if it
-		// had been evicted the moment it resolved.
-		for len(c.m) > limit {
-			old := c.lru.back()
-			c.lru.remove(old)
-			delete(c.m, old.key)
-			c.evictions++
-		}
-	}
-	c.mu.Unlock()
-
-	e.once.Do(func() { e.v, e.err = fn() })
-	if e.err != nil {
-		// Forget the failed flight so the next do(k) retries. Guard on
-		// identity: the slot may already hold a fresh retry entry (or the
-		// failed one may have been evicted), which must not be dropped.
-		c.mu.Lock()
-		if c.m[k] == e {
-			c.lru.remove(e)
-			delete(c.m, k)
-		}
-		c.mu.Unlock()
-	}
-	return e.v, e.err
-}
-
-// len returns the current entry count (test and stats introspection).
-func (c *memo[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// stats returns a snapshot of the memo's counters and size.
-func (c *memo[K, V]) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   len(c.m),
-	}
-}
-
-// CacheStats is a point-in-time snapshot of one or more evaluator
-// caches, exposed so karma-serve's /stats endpoint can report the
-// process-wide memoization behaviour.
-type CacheStats struct {
-	// Hits counts lookups that found an entry (including joins on an
-	// in-flight computation).
-	Hits uint64
-	// Misses counts lookups that started a computation.
-	Misses uint64
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions uint64
-	// Entries is the resident entry count at snapshot time.
-	Entries int
-}
-
-// add accumulates another snapshot into s.
-func (s *CacheStats) add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
+	return v
 }
 
 // SharedCacheStats sums the process-wide evaluator caches both backends
 // share (graph/shard builds, shard profiles, schedules, footprints).
-func SharedCacheStats() CacheStats {
-	var s CacheStats
-	s.add(sharedGraphs.stats())
-	s.add(sharedShards.stats())
-	s.add(sharedProfiles.stats())
-	s.add(sharedScheds.stats())
-	s.add(sharedFootprint.stats())
-	return s
+func SharedCacheStats() flight.Stats {
+	return flight.Sum(sharedGraphs.Stats(), sharedShards.Stats(), sharedProfiles.Stats(),
+		sharedScheds.Stats(), sharedFootprint.Stats())
 }
 
 // CacheStats sums the planner-backed evaluator's instance caches (KARMA
 // replica profiles and partition searches).
-func (p *Planned) CacheStats() CacheStats {
-	var s CacheStats
-	s.add(p.profiles.stats())
-	s.add(p.schedules.stats())
-	return s
+func (p *Planned) CacheStats() flight.Stats {
+	return flight.Sum(p.profiles.Stats(), p.schedules.Stats())
 }
 
 // ---------------------------------------------------------------------------
@@ -254,45 +84,54 @@ type shardSchedKey struct {
 	ckpt   bool
 }
 
-var (
-	sharedGraphs    memo[model.TransformerConfig, *graph.Graph]
-	sharedShards    memo[modelKey, *model.Shard]
-	sharedProfiles  memo[shardProfileKey, *profiler.Profile]
-	sharedScheds    memo[shardSchedKey, *karma.Schedule]
-	sharedFootprint memo[shardProfileKey, unit.Bytes]
-)
-
-// cachedGraph returns the memoized full-model build for cfg.
-func cachedGraph(cfg model.TransformerConfig) *graph.Graph {
-	g, _ := sharedGraphs.do(cfg, func() (*graph.Graph, error) {
-		return model.Transformer(cfg), nil
-	})
-	return g
+// graphKey identifies a full-model build: a model.Build registry name,
+// or (name empty) a transformer configuration.
+type graphKey struct {
+	name string
+	cfg  model.TransformerConfig
 }
 
-// CachedTransformer returns the process-wide memoized full-model build
-// for cfg. Long-lived callers (karma-serve) route transformer builds
-// through this cache so that repeated requests for one configuration
-// reuse one *graph.Graph — which in turn keeps the planner-backed
-// evaluator's pointer-keyed caches hitting instead of growing.
+var (
+	sharedGraphs    = flight.New[graphKey, *graph.Graph](memoLimit)
+	sharedShards    = flight.New[modelKey, *model.Shard](memoLimit)
+	sharedProfiles  = flight.New[shardProfileKey, *profiler.Profile](memoLimit)
+	sharedScheds    = flight.New[shardSchedKey, *karma.Schedule](memoLimit)
+	sharedFootprint = flight.New[shardProfileKey, unit.Bytes](memoLimit)
+)
+
+// CachedTransformer returns the process-wide cached full-model build for
+// cfg. Every caller that builds a transformer graph — the experiment
+// panels, the trace exporter, karma-serve — goes through this cache, so
+// equal configurations are one *graph.Graph, and the planner-backed
+// evaluator's pointer-keyed caches hit across callers instead of
+// growing.
 func CachedTransformer(cfg model.TransformerConfig) *graph.Graph {
-	return cachedGraph(cfg)
+	return must(sharedGraphs.Do(graphKey{cfg: cfg}, func() (*graph.Graph, error) {
+		return model.Transformer(cfg), nil
+	}))
+}
+
+// CachedModel is CachedTransformer for a model.Build registry name. An
+// unknown name is an error, never cached.
+func CachedModel(name string) (*graph.Graph, error) {
+	return sharedGraphs.Do(graphKey{name: name}, func() (*graph.Graph, error) {
+		return model.Build(name)
+	})
 }
 
 // cachedShard returns the memoized 1/mp tensor-parallel shard build.
 func cachedShard(cfg model.TransformerConfig, mp int) *model.Shard {
-	s, _ := sharedShards.do(modelKey{cfg: cfg, mp: mp}, func() (*model.Shard, error) {
+	return must(sharedShards.Do(modelKey{cfg: cfg, mp: mp}, func() (*model.Shard, error) {
 		return model.TransformerShard(cfg, mp), nil
-	})
-	return s
+	}))
 }
 
 // cachedProfile returns the memoized profile for a model key: the
 // mp-way shard build for mp >= 1, the full model for mp == 0 (the
 // pipeline baseline partitions the unsharded transformer).
 func cachedProfile(k shardProfileKey) (*profiler.Profile, error) {
-	return sharedProfiles.do(k, func() (*profiler.Profile, error) {
-		g := cachedGraph(k.mk.cfg)
+	return sharedProfiles.Do(k, func() (*profiler.Profile, error) {
+		g := CachedTransformer(k.mk.cfg)
 		if k.mk.mp >= 1 {
 			g = cachedShard(k.mk.cfg, k.mk.mp).Graph
 		}
@@ -307,12 +146,12 @@ func cachedProfile(k shardProfileKey) (*profiler.Profile, error) {
 // identity; the pointer carries the data).
 //
 // "Does not fit" is a pure verdict of the key, so it is cached as a nil
-// *value* rather than an error: the memo never retains errors, but a
+// *value* rather than an error: the cache never retains errors, but a
 // sweep that probes the same infeasible cell from every GPU count (the
 // ZeRO capacity-batch boundary) must not re-run the capacity search per
 // grid point.
 func cachedSchedule(k shardSchedKey, p *profiler.Profile) *karma.Schedule {
-	s, _ := sharedScheds.do(k, func() (*karma.Schedule, error) {
+	return must(sharedScheds.Do(k, func() (*karma.Schedule, error) {
 		var s *karma.Schedule
 		var err error
 		if k.ckpt {
@@ -324,8 +163,7 @@ func cachedSchedule(k shardSchedKey, p *profiler.Profile) *karma.Schedule {
 			return nil, nil // the verdict: this regime cannot fit
 		}
 		return s, nil
-	})
-	return s
+	}))
 }
 
 // cachedFootprint returns the memoized minimal checkpointed activation
@@ -333,8 +171,7 @@ func cachedSchedule(k shardSchedKey, p *profiler.Profile) *karma.Schedule {
 // count; infeasible sweep cells would otherwise pay that scan per grid
 // point).
 func cachedFootprint(k shardProfileKey, p *profiler.Profile) unit.Bytes {
-	f, _ := sharedFootprint.do(k, func() (unit.Bytes, error) {
+	return must(sharedFootprint.Do(k, func() (unit.Bytes, error) {
 		return karma.CheckpointFootprint(p), nil
-	})
-	return f
+	}))
 }

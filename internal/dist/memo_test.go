@@ -1,214 +1,10 @@
 package dist
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"karma/internal/profiler"
 )
-
-// TestMemoSingleflight checks the dedup contract: concurrent callers of
-// one key share exactly one computation, distinct keys compute in
-// parallel (not serialized behind each other's fn).
-func TestMemoSingleflight(t *testing.T) {
-	var c memo[int, int]
-	var calls atomic.Int64
-	const goroutines = 32
-	var wg sync.WaitGroup
-	results := make([]int, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			v, err := c.do(7, func() (int, error) {
-				calls.Add(1)
-				return 42, nil
-			})
-			if err != nil {
-				t.Errorf("goroutine %d: %v", g, err)
-			}
-			results[g] = v
-		}(g)
-	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Errorf("key computed %d times, want 1", n)
-	}
-	for g, v := range results {
-		if v != 42 {
-			t.Errorf("goroutine %d got %d, want 42", g, v)
-		}
-	}
-}
-
-// TestMemoErrorNotCached checks the daemon-safety half of the contract:
-// a failing computation is forgotten as soon as its error is observed,
-// so the next lookup retries — a transient failure must not poison a
-// key for the life of the process.
-func TestMemoErrorNotCached(t *testing.T) {
-	var c memo[string, int]
-	calls := 0
-	boom := fmt.Errorf("transient")
-	fn := func() (int, error) {
-		calls++
-		if calls == 1 {
-			return 0, boom
-		}
-		return 99, nil
-	}
-	if _, err := c.do("k", fn); err != boom {
-		t.Fatalf("first call: err = %v, want %v", err, boom)
-	}
-	if got := c.len(); got != 0 {
-		t.Fatalf("after error: %d entries resident, want 0", got)
-	}
-	v, err := c.do("k", fn)
-	if err != nil || v != 99 {
-		t.Fatalf("retry: got (%d, %v), want (99, nil)", v, err)
-	}
-	if calls != 2 {
-		t.Fatalf("fn ran %d times, want 2 (fail once, retry once)", calls)
-	}
-	// The successful retry is cached normally.
-	v, err = c.do("k", func() (int, error) { t.Error("recomputed a cached success"); return 0, nil })
-	if err != nil || v != 99 {
-		t.Fatalf("cached: got (%d, %v), want (99, nil)", v, err)
-	}
-}
-
-// TestMemoErrorSharedByFlight checks that callers concurrent with a
-// failing computation all see its error (singleflight), while callers
-// arriving after it resolved start a fresh computation.
-func TestMemoErrorSharedByFlight(t *testing.T) {
-	var c memo[int, int]
-	var calls atomic.Int64
-	boom := fmt.Errorf("flight failure")
-	release := make(chan struct{})
-	started := make(chan struct{})
-	// The first flight blocks until released, then fails; any retry
-	// flight (a caller that arrived after the failure was forgotten)
-	// succeeds — both outcomes are legal for a given waiter, and the
-	// assertions below accept exactly those two.
-	fn := func() (int, error) {
-		if calls.Add(1) == 1 {
-			close(started)
-			<-release
-			return 0, boom
-		}
-		return 5, nil
-	}
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	errs := make([]error, waiters)
-	vals := make([]int, waiters)
-	for g := 0; g < waiters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			vals[g], errs[g] = c.do(1, fn)
-		}(g)
-	}
-	<-started
-	close(release)
-	wg.Wait()
-	sawBoom := 0
-	for g, err := range errs {
-		switch {
-		case err == boom:
-			sawBoom++
-		case err == nil && vals[g] == 5: // late arrival, successful retry
-		default:
-			t.Errorf("waiter %d: got (%d, %v), want the flight's error or a retried 5", g, vals[g], err)
-		}
-	}
-	if sawBoom == 0 {
-		t.Error("no waiter observed the failing flight's error")
-	}
-	// Post-flight lookup never sees the stale error.
-	v, err := c.do(1, fn)
-	if err != nil || v != 5 {
-		t.Fatalf("post-flight: got (%d, %v), want (5, nil)", v, err)
-	}
-}
-
-// TestMemoLRUEviction checks the bound: inserting past the limit evicts
-// the least-recently-used key, a re-lookup of an evicted key recomputes
-// (and re-caches) it, and recently-touched keys survive.
-func TestMemoLRUEviction(t *testing.T) {
-	c := memo[int, int]{limit: 3}
-	compute := func(k int) func() (int, error) {
-		return func() (int, error) { return k * 10, nil }
-	}
-	for k := 0; k < 3; k++ {
-		if v, _ := c.do(k, compute(k)); v != k*10 {
-			t.Fatalf("do(%d) = %d", k, v)
-		}
-	}
-	// Touch 0 so 1 becomes the LRU, then insert 3 to force an eviction.
-	c.do(0, compute(0))
-	c.do(3, compute(3))
-	if got := c.len(); got != 3 {
-		t.Fatalf("%d entries resident, want 3", got)
-	}
-	st := c.stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	// 0, 2, 3 are resident; 1 was evicted and recomputes.
-	recomputed := false
-	v, _ := c.do(1, func() (int, error) { recomputed = true; return 10, nil })
-	if !recomputed || v != 10 {
-		t.Fatalf("evicted key: recomputed=%v v=%d, want true 10", recomputed, v)
-	}
-	// 0 survived its touch (the insert of 3 evicted 1, not 0)... but the
-	// re-insert of 1 just evicted the then-LRU 2. Check 0 is still cached.
-	c.do(0, func() (int, error) { t.Error("recently-used key was evicted"); return 0, nil })
-}
-
-// TestMemoEvictionUnderConcurrency hammers a tiny-limit memo from many
-// goroutines over a keyspace far larger than the bound — constant
-// eviction churn, interleaved with singleflight joins — and checks every
-// returned value is the key's pure function. Run under -race this is
-// the eviction-path data-race gate.
-func TestMemoEvictionUnderConcurrency(t *testing.T) {
-	c := memo[int, int]{limit: 4}
-	const goroutines = 16
-	const lookups = 400
-	const keyspace = 32
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < lookups; i++ {
-				k := (g*7 + i) % keyspace
-				v, err := c.do(k, func() (int, error) { return k * k, nil })
-				if err != nil {
-					t.Errorf("do(%d): %v", k, err)
-					return
-				}
-				if v != k*k {
-					t.Errorf("do(%d) = %d, want %d", k, v, k*k)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := c.len(); got > 4 {
-		t.Errorf("%d entries resident, limit 4", got)
-	}
-	st := c.stats()
-	if st.Evictions == 0 {
-		t.Error("no evictions under a keyspace 8x the limit")
-	}
-	if st.Hits+st.Misses != goroutines*lookups {
-		t.Errorf("hits+misses = %d, want %d lookups", st.Hits+st.Misses, goroutines*lookups)
-	}
-}
 
 // TestMemoStatsAggregate checks the exported stats surfaces sum their
 // member caches (the /stats endpoint of karma-serve reads these).
@@ -217,7 +13,7 @@ func TestMemoStatsAggregate(t *testing.T) {
 	if s := pe.CacheStats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
 		t.Fatalf("fresh evaluator stats = %+v, want zeros", s)
 	}
-	pe.profiles.do(profileKey{batch: 1}, func() (*profiler.Profile, error) {
+	pe.profiles.Do(profileKey{batch: 1}, func() (*profiler.Profile, error) {
 		return nil, nil
 	})
 	if s := pe.CacheStats(); s.Misses != 1 || s.Entries != 1 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"karma/internal/comm"
+	"karma/internal/flight"
 	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/karma"
@@ -34,10 +35,11 @@ import (
 // per configuration. Note that under ZeROShard the gradient shard
 // (1/gpus) is part of the replica shape — each GPU count genuinely plans
 // a different footprint — so a ZeRO sweep replans per GPU count by
-// design. Distinct graphs must be distinct pointers (true for every
-// model.Build/model.Transformer call site).
+// design. Profiles are keyed by graph pointer, so build graphs through
+// the dist graph cache (CachedTransformer, CachedModel): equal
+// configurations are then one pointer and hit across callers.
 //
-// Both caches are singleflight memos (memo.go), so one shared Planned
+// Both caches are singleflight LRUs (flight.Cache), so one shared Planned
 // serves a parallel sweep: concurrent grid points that need the same
 // replica profile or partition search block on one computation instead
 // of duplicating or serializing it, and distinct keys plan in parallel.
@@ -57,8 +59,8 @@ import (
 // its "analytic" tag in Result.Backend) rather than diverging on the
 // feasibility verdict.
 type Planned struct {
-	profiles  memo[profileKey, *profiler.Profile]
-	schedules memo[schedKey, planOutcome]
+	profiles  *flight.Cache[profileKey, *profiler.Profile]
+	schedules *flight.Cache[schedKey, planOutcome]
 
 	// observe, when set, receives the wall-clock duration of each
 	// evaluation phase (see Observe). nil on the hot path: no clock reads.
@@ -108,7 +110,10 @@ type schedKey struct {
 
 // NewPlanned returns a planner-backed evaluator with empty caches.
 func NewPlanned() *Planned {
-	return &Planned{}
+	return &Planned{
+		profiles:  flight.New[profileKey, *profiler.Profile](memoLimit),
+		schedules: flight.New[schedKey, planOutcome](memoLimit),
+	}
 }
 
 // errForcedFallback is returned by the simulation paths under the
@@ -121,7 +126,7 @@ func (*Planned) Name() string { return "planned" }
 // profile returns the cached per-replica profile.
 func (pe *Planned) profile(g *graph.Graph, node hw.Node, batch int, dt tensor.DType) (*profiler.Profile, error) {
 	key := profileKey{g: g, node: node, batch: batch, dt: dt}
-	return pe.profiles.do(key, func() (*profiler.Profile, error) {
+	return pe.profiles.Do(key, func() (*profiler.Profile, error) {
 		return profiler.New(g, node, profiler.Options{Batch: batch, DType: dt})
 	})
 }
@@ -131,7 +136,7 @@ func (pe *Planned) profile(g *graph.Graph, node hw.Node, batch int, dt tensor.DT
 // deterministic as a schedule and is cached as a value — plannedIter
 // probes the residency regime first and falls back to weight-streaming
 // on failure, and a sweep must not re-run that failing search per grid
-// point. The memo itself never retains errors (transient failures would
+// point. The cache itself never retains errors (transient failures would
 // retry); the error lives inside the value by the caller's choice.
 type planOutcome struct {
 	s   *karma.Schedule
@@ -140,10 +145,10 @@ type planOutcome struct {
 
 // plan returns the cached planner schedule for (profile, options).
 func (pe *Planned) plan(p *profiler.Profile, opts karma.Options) (*karma.Schedule, error) {
-	out, _ := pe.schedules.do(schedKey{p: p, opts: opts}, func() (planOutcome, error) {
+	out := must(pe.schedules.Do(schedKey{p: p, opts: opts}, func() (planOutcome, error) {
 		s, err := karma.Plan(p, opts)
 		return planOutcome{s: s, err: err}, nil
-	})
+	}))
 	return out.s, out.err
 }
 

@@ -186,3 +186,35 @@ func TestTableVCrossover(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatPanelsHitPlannedCaches pins the graph-cache contract: the
+// panels build their graphs through the dist graph cache, so an
+// identical repeat of a panel pass on one planner-backed evaluator finds
+// every profile and partition search cached — no misses, no new
+// entries — instead of filling the pointer-keyed caches with dead
+// copies.
+func TestRepeatPanelsHitPlannedCaches(t *testing.T) {
+	cl := hw.ABCI()
+	pe := dist.NewPlanned()
+	pass := func() {
+		if _, err := Figure8Megatron(cl, 2, []int{128, 256, 512}, pe, FamilyOptions{Ckpt: true}); err != nil {
+			t.Fatalf("Figure8Megatron: %v", err)
+		}
+		if _, err := Figure8Turing(cl, []int{512, 1024}, pe, FamilyOptions{Ckpt: true}); err != nil {
+			t.Fatalf("Figure8Turing: %v", err)
+		}
+	}
+	pass()
+	first := pe.CacheStats()
+	if first.Misses == 0 {
+		t.Fatal("the first pass planned nothing; the test no longer exercises the planned caches")
+	}
+	pass()
+	second := pe.CacheStats()
+	if d := second.Misses - first.Misses; d != 0 {
+		t.Errorf("repeat pass added %d planned-cache misses, want 0", d)
+	}
+	if d := second.Entries - first.Entries; d != 0 {
+		t.Errorf("repeat pass added %d planned-cache entries, want 0", d)
+	}
+}

@@ -90,7 +90,7 @@ func Figure8Megatron(cl hw.Cluster, cfgIdx int, gpusList []int, ev dist.Evaluato
 	cfg := cfgs[cfgIdx]
 	mp := 1 << cfgIdx // Table IV: MP = 1,2,4,8,16
 	const perReplicaBatch = 4
-	g := model.Transformer(cfg)
+	g := dist.CachedTransformer(cfg)
 	panel := &Fig8Panel{
 		Model:   cfg.Name,
 		Methods: []string{"mp+dp", "mp+dp-opt", "karma-dp"},
@@ -240,7 +240,7 @@ func Figure8Turing(cl hw.Cluster, gpusList []int, ev dist.Evaluator, o FamilyOpt
 	cfg := model.TuringNLG()
 	const perReplicaBatch = 2
 	const pipeStages = 16 // matches the shipped MP=16 device split
-	g := model.Transformer(cfg)
+	g := dist.CachedTransformer(cfg)
 	panel := &Fig8Panel{
 		Model:   cfg.Name,
 		Methods: []string{"zero", "karma-dp", "zero+karma"},

@@ -70,7 +70,7 @@ func TableIV(cl hw.Cluster, ev dist.Evaluator, o FamilyOptions) ([]TableIVRow, e
 		case 0:
 			return ev.MegatronHybrid(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, openWTSamples, o.hybrid(false))
 		case 1:
-			return ev.KARMADataParallel(model.Transformer(cfg), cl, karmaGPUs[ri], perReplicaBatch, openWTSamples, o.karma())
+			return ev.KARMADataParallel(dist.CachedTransformer(cfg), cl, karmaGPUs[ri], perReplicaBatch, openWTSamples, o.karma())
 		default: // pipeline
 			return ev.Pipeline(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, o.micro(perReplicaBatch), openWTSamples, o.hybrid(true))
 		}

@@ -54,7 +54,7 @@ type TopoRow struct {
 func TopologySweep(cl hw.Cluster, gpus int, topos []topo.Topology, ev dist.Evaluator, o FamilyOptions) ([]TopoRow, error) {
 	cfg := model.TuringNLG()
 	const perReplicaBatch = 2 // Figure8Turing's per-GPU parity batch
-	g := model.Transformer(cfg)
+	g := dist.CachedTransformer(cfg)
 	clusters := make([]hw.Cluster, len(topos))
 	for i, tp := range topos {
 		clusters[i] = cl.WithTopology(tp)

@@ -1,0 +1,302 @@
+package flight
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// TestSingleflight checks the dedup contract: concurrent callers of one
+// key share exactly one computation.
+func TestSingleflight(t *testing.T) {
+	c := New[int, int](8)
+	var calls atomic.Int64
+	const goroutines = 32
+	var wg sync.WaitGroup
+	results := make([]int, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			v, err := c.Do(7, func() (int, error) {
+				calls.Add(1)
+				return 42, nil
+			})
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			}
+			results[g] = v
+		}(g)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("key computed %d times, want 1", n)
+	}
+	for g, v := range results {
+		if v != 42 {
+			t.Errorf("goroutine %d got %d, want 42", g, v)
+		}
+	}
+}
+
+// TestErrorNotCached checks the daemon-safety half of the contract: a
+// failing computation is forgotten as soon as its error is observed, so
+// the next lookup retries — a transient failure must not poison a key
+// for the life of the process.
+func TestErrorNotCached(t *testing.T) {
+	c := New[string, int](8)
+	calls := 0
+	boom := fmt.Errorf("transient")
+	fn := func() (int, error) {
+		calls++
+		if calls == 1 {
+			return 0, boom
+		}
+		return 99, nil
+	}
+	if _, err := c.Do("k", fn); err != boom {
+		t.Fatalf("first call: err = %v, want %v", err, boom)
+	}
+	if got := c.Len(); got != 0 {
+		t.Fatalf("after error: %d entries resident, want 0", got)
+	}
+	v, err := c.Do("k", fn)
+	if err != nil || v != 99 {
+		t.Fatalf("retry: got (%d, %v), want (99, nil)", v, err)
+	}
+	if calls != 2 {
+		t.Fatalf("fn ran %d times, want 2 (fail once, retry once)", calls)
+	}
+	// The successful retry is cached normally.
+	v, err = c.Do("k", func() (int, error) { t.Error("recomputed a cached success"); return 0, nil })
+	if err != nil || v != 99 {
+		t.Fatalf("cached: got (%d, %v), want (99, nil)", v, err)
+	}
+}
+
+// TestErrorSharedByFlight checks that callers concurrent with a failing
+// computation all see its error (singleflight), while callers arriving
+// after it resolved start a fresh computation.
+func TestErrorSharedByFlight(t *testing.T) {
+	c := New[int, int](8)
+	var calls atomic.Int64
+	boom := fmt.Errorf("flight failure")
+	release := make(chan struct{})
+	started := make(chan struct{})
+	// The first flight blocks until released, then fails; any retry
+	// flight (a caller that arrived after the failure was forgotten)
+	// succeeds — both outcomes are legal for a given waiter, and the
+	// assertions below accept exactly those two.
+	fn := func() (int, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+			return 0, boom
+		}
+		return 5, nil
+	}
+
+	const waiters = 8
+	var wg sync.WaitGroup
+	errs := make([]error, waiters)
+	vals := make([]int, waiters)
+	for g := 0; g < waiters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			vals[g], errs[g] = c.Do(1, fn)
+		}(g)
+	}
+	<-started
+	close(release)
+	wg.Wait()
+	sawBoom := 0
+	for g, err := range errs {
+		switch {
+		case err == boom:
+			sawBoom++
+		case err == nil && vals[g] == 5: // late arrival, successful retry
+		default:
+			t.Errorf("waiter %d: got (%d, %v), want the flight's error or a retried 5", g, vals[g], err)
+		}
+	}
+	if sawBoom == 0 {
+		t.Error("no waiter observed the failing flight's error")
+	}
+	// Post-flight lookup never sees the stale error.
+	v, err := c.Do(1, fn)
+	if err != nil || v != 5 {
+		t.Fatalf("post-flight: got (%d, %v), want (5, nil)", v, err)
+	}
+}
+
+// TestPanicNotCached checks that a panicking computation reaches every
+// waiter of its flight as a *PanicError carrying the value and stack —
+// never as a cached zero value — and is then forgotten like any failed
+// flight, so the next lookup retries.
+func TestPanicNotCached(t *testing.T) {
+	c := New[int, *int](8)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var calls atomic.Int64
+	fn := func() (*int, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("kaboom")
+		}
+		v := 7
+		return &v, nil
+	}
+
+	const waiters = 8
+	var wg sync.WaitGroup
+	errs := make([]error, waiters)
+	vals := make([]*int, waiters)
+	for g := 0; g < waiters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			vals[g], errs[g] = c.Do(1, fn)
+		}(g)
+	}
+	<-started
+	close(release)
+	wg.Wait()
+	sawPanic := 0
+	for g, err := range errs {
+		var pe *PanicError
+		switch {
+		case errors.As(err, &pe):
+			sawPanic++
+			if pe.Value != "kaboom" || !strings.Contains(string(pe.Stack), "flight_test.go") {
+				t.Errorf("waiter %d: PanicError{%v, stack %q} lacks the panic value or its stack", g, pe.Value, pe.Stack)
+			}
+			if vals[g] != nil {
+				t.Errorf("waiter %d: got a value alongside the panic", g)
+			}
+		case err == nil && vals[g] != nil && *vals[g] == 7: // late arrival, successful retry
+		default:
+			t.Errorf("waiter %d: got (%v, %v), want a *PanicError or a retried 7", g, vals[g], err)
+		}
+	}
+	if sawPanic == 0 {
+		t.Fatal("no waiter observed the panicking flight")
+	}
+	v, err := c.Do(1, fn)
+	if err != nil || v == nil || *v != 7 {
+		t.Fatalf("post-panic lookup: got (%v, %v), want a retried 7", v, err)
+	}
+
+	// A panic re-raised from a nested cache keeps its original stack.
+	inner := New[int, int](1)
+	_, err = c.Do(2, func() (*int, error) {
+		_, err := inner.Do(0, func() (int, error) { panic("deep") })
+		panic(err)
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "deep" {
+		t.Fatalf("nested panic: got %v, want the inner *PanicError", err)
+	}
+}
+
+// TestLRUEviction checks the bound: inserting past the limit evicts the
+// least-recently-used key, a re-lookup of an evicted key recomputes (and
+// re-caches) it, and recently-touched keys survive.
+func TestLRUEviction(t *testing.T) {
+	c := New[int, int](3)
+	compute := func(k int) func() (int, error) {
+		return func() (int, error) { return k * 10, nil }
+	}
+	for k := 0; k < 3; k++ {
+		if v, _ := c.Do(k, compute(k)); v != k*10 {
+			t.Fatalf("Do(%d) = %d", k, v)
+		}
+	}
+	// Touch 0 so 1 becomes the LRU, then insert 3 to force an eviction.
+	c.Do(0, compute(0))
+	c.Do(3, compute(3))
+	if got := c.Len(); got != 3 {
+		t.Fatalf("%d entries resident, want 3", got)
+	}
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+	// 0, 2, 3 are resident; 1 was evicted and recomputes.
+	recomputed := false
+	v, _ := c.Do(1, func() (int, error) { recomputed = true; return 10, nil })
+	if !recomputed || v != 10 {
+		t.Fatalf("evicted key: recomputed=%v v=%d, want true 10", recomputed, v)
+	}
+	// The re-insert of 1 evicted the then-LRU 2, not the touched 0.
+	c.Do(0, func() (int, error) { t.Error("recently-used key was evicted"); return 0, nil })
+}
+
+// TestEvictionUnderConcurrency hammers a tiny cache from many goroutines
+// over a keyspace far larger than the bound — constant eviction churn,
+// interleaved with singleflight joins — and checks every returned value
+// is the key's pure function. Run under -race this is the eviction-path
+// data-race gate.
+func TestEvictionUnderConcurrency(t *testing.T) {
+	c := New[int, int](4)
+	const goroutines = 16
+	const lookups = 400
+	const keyspace = 32
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < lookups; i++ {
+				k := (g*7 + i) % keyspace
+				v, err := c.Do(k, func() (int, error) { return k * k, nil })
+				if err != nil {
+					t.Errorf("Do(%d): %v", k, err)
+					return
+				}
+				if v != k*k {
+					t.Errorf("Do(%d) = %d, want %d", k, v, k*k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := c.Len(); got > 4 {
+		t.Errorf("%d entries resident, limit 4", got)
+	}
+	st := c.Stats()
+	if st.Evictions == 0 {
+		t.Error("no evictions under a keyspace 8x the limit")
+	}
+	if st.Hits+st.Misses != goroutines*lookups {
+		t.Errorf("hits+misses = %d, want %d lookups", st.Hits+st.Misses, goroutines*lookups)
+	}
+}
+
+// TestStats checks the counters of one cache and that Sum aggregates
+// several (the /stats endpoint of karma-serve renders such sums).
+func TestStats(t *testing.T) {
+	a := New[int, int](1)
+	if s := a.Stats(); s != (Stats{}) {
+		t.Fatalf("fresh cache stats = %+v, want zeros", s)
+	}
+	one := func() (int, error) { return 1, nil }
+	a.Do(1, one) // miss
+	a.Do(1, one) // hit
+	a.Do(2, one) // miss, evicts 1
+	want := Stats{Hits: 1, Misses: 2, Evictions: 1, Entries: 1}
+	if s := a.Stats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
+	}
+	b := New[string, int](4)
+	b.Do("x", func() (int, error) { return 0, fmt.Errorf("not retained") })
+	b.Do("y", one)
+	want = Stats{Hits: 1, Misses: 4, Evictions: 1, Entries: 2}
+	if s := Sum(a.Stats(), b.Stats()); s != want {
+		t.Fatalf("Sum = %+v, want %+v", s, want)
+	}
+}

@@ -201,22 +201,18 @@ func (r *EvaluateRequest) normalize() error {
 	return nil
 }
 
-// graphFor resolves the request's full-model graph through the given
-// name cache: transformer configs share the process-wide build memo in
-// internal/dist; named graph models the serve-level cache — either way
-// repeated requests reuse one *graph.Graph, which keeps the planner's
-// pointer-keyed caches hitting.
-func (r *EvaluateRequest) graphFor(graphs *flightCache[*graph.Graph]) (*graph.Graph, error) {
+// graphFor resolves the request's full-model graph through the dist
+// graph cache, so repeated requests reuse one *graph.Graph, which keeps
+// the planner's pointer-keyed caches hitting.
+func (r *EvaluateRequest) graphFor() (*graph.Graph, error) {
 	if r.Transformer != nil {
 		return dist.CachedTransformer(*r.Transformer), nil
 	}
-	return graphs.do(r.Model, func() (*graph.Graph, error) {
-		return model.Build(r.Model)
-	})
+	return dist.CachedModel(r.Model)
 }
 
 // evaluate runs the normalized request against the evaluator.
-func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *flightCache[*graph.Graph]) (*dist.Result, error) {
+func (r *EvaluateRequest) evaluate(ev dist.Evaluator) (*dist.Result, error) {
 	cl, err := r.Cluster.cluster()
 	if err != nil {
 		return nil, err
@@ -228,7 +224,7 @@ func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *flightCache[*graph
 	ho := dist.HybridOptions{Phased: r.Phased, Checkpoint: r.Ckpt, Precision: prec}
 	switch r.Family {
 	case "karma-dp":
-		g, err := r.graphFor(graphs)
+		g, err := r.graphFor()
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +234,7 @@ func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *flightCache[*graph
 			Precision:      prec,
 		})
 	case "dp":
-		g, err := r.graphFor(graphs)
+		g, err := r.graphFor()
 		if err != nil {
 			return nil, err
 		}

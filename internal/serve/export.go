@@ -152,7 +152,7 @@ func (s *Server) export(req *EvaluateRequest) (*dist.PlanExport, error) {
 	ho := dist.HybridOptions{Phased: req.Phased, Checkpoint: req.Ckpt, Precision: prec}
 	switch req.Family {
 	case "karma-dp":
-		g, err := req.graphFor(s.graphs)
+		g, err := req.graphFor()
 		if err != nil {
 			return nil, err
 		}

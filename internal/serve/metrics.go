@@ -7,7 +7,7 @@ import (
 	"strings"
 	"sync"
 
-	"karma/internal/dist"
+	"karma/internal/flight"
 )
 
 // latencyBuckets are the fixed histogram bounds (seconds) of the
@@ -97,7 +97,7 @@ func (m *metrics) requestEnd(endpoint string, code int, seconds float64) {
 // cacheStats is one named cache's snapshot for rendering.
 type cacheStats struct {
 	name string
-	s    dist.CacheStats
+	s    flight.Stats
 }
 
 // buildInfo labels the karma_build_info gauge: the Go toolchain that

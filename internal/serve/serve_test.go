@@ -297,7 +297,7 @@ func TestEvaluateCanonicalization(t *testing.T) {
 			t.Fatalf("variant %d body differs:\n%s\nvs\n%s", i, got, ref)
 		}
 	}
-	st := s.cache.stats()
+	st := s.cache.Stats()
 	if st.Misses != 1 || st.Hits != uint64(len(variants)-1) {
 		t.Errorf("cache = %+v, want 1 miss and %d hits (one key for all variants)", st, len(variants)-1)
 	}
@@ -396,6 +396,16 @@ func TestBadRequests(t *testing.T) {
 			`{"family":"karma-dp","gpus":128,"batch":128}`, http.StatusBadRequest},
 		{"unknown model", http.MethodPost, "/v1/evaluate",
 			`{"family":"karma-dp","model":"gpt-5","gpus":128,"batch":128}`, http.StatusUnprocessableEntity},
+		// Counts whose global batch overflows int once panicked the
+		// daemon (dp) or reported a zero global batch (karma-dp).
+		{"dp global batch overflow", http.MethodPost, "/v1/evaluate",
+			`{"family":"dp","model":"megatron-0.3B","gpus":8,"batch":4611686018427387904}`, http.StatusUnprocessableEntity},
+		{"planned dp global batch overflow", http.MethodPost, "/v1/evaluate",
+			`{"family":"dp","model":"megatron-0.3B","gpus":8,"batch":4611686018427387904,"backend":"planned"}`, http.StatusUnprocessableEntity},
+		{"karma-dp global batch overflow", http.MethodPost, "/v1/evaluate",
+			`{"family":"karma-dp","model":"megatron-0.3B","gpus":4611686018427387904,"batch":4}`, http.StatusUnprocessableEntity},
+		{"planned karma-dp global batch overflow", http.MethodPost, "/v1/evaluate",
+			`{"family":"karma-dp","model":"megatron-0.3B","gpus":4611686018427387904,"batch":4,"backend":"planned"}`, http.StatusUnprocessableEntity},
 		{"hybrid without transformer", http.MethodPost, "/v1/evaluate",
 			`{"family":"mp+dp","model":"resnet50","mp":4,"gpus":128,"batch":128}`, http.StatusBadRequest},
 		{"zero gpus", http.MethodPost, "/v1/evaluate",
@@ -428,8 +438,28 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
-	if st := s.cache.stats(); st.Entries != 0 {
+	if st := s.cache.Stats(); st.Entries != 0 {
 		t.Errorf("rejected requests must not populate the response cache, got %+v", st)
+	}
+}
+
+// TestPanicAnswers500 pins that a panicking evaluation answers 500 to
+// the request instead of killing the process, is never cached, and a
+// retry computes afresh.
+func TestPanicAnswers500(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.evalHook = func(string) { panic("evaluation bug") }
+	const body = `{"family":"karma-dp","model":"megatron-0.3B","gpus":128,"batch":128}`
+	code, got := post(t, s, "/v1/evaluate", body)
+	if code != http.StatusInternalServerError || !strings.Contains(string(got), "evaluation bug") {
+		t.Fatalf("panicking evaluate = %d, want 500 naming the panic: %s", code, got)
+	}
+	if st := s.cache.Stats(); st.Entries != 0 {
+		t.Errorf("a panicked evaluation must not be cached, got %+v", st)
+	}
+	s.evalHook = nil
+	if code, got := post(t, s, "/v1/evaluate", body); code != http.StatusOK {
+		t.Fatalf("retry = %d, want 200: %s", code, got)
 	}
 }
 

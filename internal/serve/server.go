@@ -24,12 +24,12 @@
 // cached responses stay byte-identical across requests.
 //
 // The serving stack is three bounded layers. A canonicalized-request
-// LRU response cache (flightCache) returns byte-identical bodies for
+// LRU response cache (a flight.Cache) returns byte-identical bodies for
 // semantically identical requests and singleflights identical
 // concurrent ones down to a single evaluation. Below it, the evaluator
-// memos in internal/dist (bounded LRUs since the same PR) dedupe shared
-// sub-computations — profiles, shard builds, partition searches —
-// across *different* requests. A semaphore caps concurrent evaluations
+// caches in internal/dist (flight.Cache instances too) dedupe shared
+// sub-computations — graph and shard builds, profiles, partition
+// searches — across *different* requests. A semaphore caps concurrent evaluations
 // (each of which fans its grid out through internal/sweep's bounded
 // pool), so a request burst degrades by queueing, not by oversubscribing
 // the machine.
@@ -44,6 +44,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -55,7 +56,7 @@ import (
 	"time"
 
 	"karma/internal/dist"
-	"karma/internal/graph"
+	"karma/internal/flight"
 )
 
 // Config tunes a Server. The zero value serves with NumCPU sweep
@@ -88,8 +89,7 @@ type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	evals   map[string]dist.Evaluator
-	cache   *flightCache[[]byte]
-	graphs  *flightCache[*graph.Graph]
+	cache   *flight.Cache[string, []byte]
 	metrics *metrics
 	build   buildInfo
 	slots   chan struct{}
@@ -105,6 +105,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * runtime.NumCPU()
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = 1024
+	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 120 * time.Second
 	}
@@ -116,15 +119,14 @@ func New(cfg Config) *Server {
 		cfg: cfg,
 		log: log,
 		// One long-lived evaluator per backend: the planned evaluator's
-		// instance memos are request-spanning by design, and bounded
-		// (internal/dist memo LRU), so holding it for the process
-		// lifetime is safe.
+		// instance caches are request-spanning by design, and bounded
+		// (flight.Cache LRUs), so holding it for the process lifetime is
+		// safe.
 		evals: map[string]dist.Evaluator{
 			"analytic": dist.Analytic{},
 			"planned":  dist.NewPlanned(),
 		},
-		cache:   newFlightCache[[]byte](cfg.CacheEntries),
-		graphs:  newFlightCache[*graph.Graph](64),
+		cache:   flight.New[string, []byte](cfg.CacheEntries),
 		metrics: newMetrics(),
 		build:   readBuildInfo(),
 		slots:   make(chan struct{}, cfg.MaxInFlight),
@@ -302,7 +304,7 @@ func (s *Server) computeRaw(ctx context.Context, endpoint, key string, fn func()
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		body, err := s.cache.do(key, func() ([]byte, error) {
+		body, err := s.cache.Do(key, func() ([]byte, error) {
 			if s.evalHook != nil {
 				s.evalHook(endpoint)
 			}
@@ -314,6 +316,13 @@ func (s *Server) computeRaw(ctx context.Context, endpoint, key string, fn func()
 	}()
 	select {
 	case out := <-ch:
+		var pe *flight.PanicError
+		if errors.As(out.err, &pe) {
+			// A bug, not a bad request: the cache has already forgotten
+			// the flight, so the failure is never served from cache.
+			s.log.Error("evaluation panicked", "endpoint", endpoint, "panic", pe.Value, "stack", string(pe.Stack))
+			return nil, http.StatusInternalServerError, out.err
+		}
 		if out.err != nil {
 			return nil, http.StatusUnprocessableEntity, out.err
 		}
@@ -375,7 +384,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, endpoint str
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	body, code, err := s.compute(ctx, endpoint, key, func() (any, error) {
-		res, err := req.evaluate(s.evals[req.Backend], s.graphs)
+		res, err := req.evaluate(s.evals[req.Backend])
 		if err != nil {
 			return nil, err
 		}
@@ -440,8 +449,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	planned, _ := s.evals["planned"].(*dist.Planned)
 	caches := []cacheStats{
-		{name: "response", s: s.cache.stats()},
-		{name: "graphs", s: s.graphs.stats()},
+		{name: "response", s: s.cache.Stats()},
 		{name: "evaluator_shared", s: dist.SharedCacheStats()},
 	}
 	if planned != nil {
