@@ -128,12 +128,16 @@ func cachedShard(cfg model.TransformerConfig, mp int) *model.Shard {
 
 // cachedProfile returns the memoized profile for a model key: the
 // mp-way shard build for mp >= 1, the full model for mp == 0 (the
-// pipeline baseline partitions the unsharded transformer).
+// pipeline baseline partitions the unsharded transformer). Only the
+// selected graph is built, so the hybrids never build or retain a
+// full-model graph they do not read.
 func cachedProfile(k shardProfileKey) (*profiler.Profile, error) {
 	return sharedProfiles.Do(k, func() (*profiler.Profile, error) {
-		g := CachedTransformer(k.mk.cfg)
+		var g *graph.Graph
 		if k.mk.mp >= 1 {
 			g = cachedShard(k.mk.cfg, k.mk.mp).Graph
+		} else {
+			g = CachedTransformer(k.mk.cfg)
 		}
 		return profiler.New(g, k.node, profiler.Options{Batch: k.batch, DType: k.dt})
 	})

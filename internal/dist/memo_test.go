@@ -3,6 +3,8 @@ package dist
 import (
 	"testing"
 
+	"karma/internal/hw"
+	"karma/internal/model"
 	"karma/internal/profiler"
 )
 
@@ -24,5 +26,34 @@ func TestMemoStatsAggregate(t *testing.T) {
 	sh := SharedCacheStats()
 	if sh.Entries > 0 && sh.Hits+sh.Misses == 0 {
 		t.Errorf("shared stats incoherent: %+v", sh)
+	}
+}
+
+// TestHybridBuildsNoFullGraph: the hybrid families profile only their
+// MP shard, so a cold MP+DP or ZeRO evaluation must not build (or
+// retain) the full-model graph; only the pipeline baseline, which
+// partitions the unsharded transformer, adds one graph-cache entry.
+func TestHybridBuildsNoFullGraph(t *testing.T) {
+	cl := hw.ABCI()
+	// A shape no other test in the package builds, so every lookup
+	// below starts cold.
+	cfg := model.TransformerConfig{Name: "no-full-graph-lm", Hidden: 384, Heads: 6, Layers: 5, Seq: 96, Vocab: 4096}
+	graphs := func() uint64 { return sharedGraphs.Stats().Misses }
+
+	before := graphs()
+	if _, err := (Analytic{}).MegatronHybrid(cfg, cl, 2, 16, 4, samples, HybridOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Analytic{}).ZeRO(cfg, cl, 4, 16, 4, samples, HybridOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := graphs() - before; got != 0 {
+		t.Fatalf("MP+DP and ZeRO added %d full-model graph builds, want 0", got)
+	}
+	if _, err := (Analytic{}).Pipeline(cfg, cl, 4, 16, 8, 2, samples, HybridOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := graphs() - before; got != 1 {
+		t.Fatalf("pipeline added %d full-model graph builds, want 1", got)
 	}
 }

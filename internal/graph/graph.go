@@ -75,12 +75,13 @@ func (g *Graph) Node(id NodeID) *Node {
 // The returned slice must not be mutated.
 func (g *Graph) Nodes() []*Node { return g.nodes }
 
-// Consumers returns, for every node, the ids of nodes consuming its output.
-func (g *Graph) Consumers() [][]NodeID {
-	out := make([][]NodeID, len(g.nodes))
+// fanOut returns, for every node, the number of input edges consuming
+// its output (an input listed twice by one consumer counts twice).
+func (g *Graph) fanOut() []int32 {
+	out := make([]int32, len(g.nodes))
 	for _, n := range g.nodes {
 		for _, in := range n.Inputs {
-			out[in] = append(out[in], n.ID)
+			out[in]++
 		}
 	}
 	return out
@@ -89,11 +90,11 @@ func (g *Graph) Consumers() [][]NodeID {
 // Output returns the unique sink node id. Validate reports an error when
 // the sink is not unique; Output returns the last sink found.
 func (g *Graph) Output() NodeID {
-	cons := g.Consumers()
+	fan := g.fanOut()
 	sink := NodeID(-1)
-	for _, n := range g.nodes {
-		if len(cons[n.ID]) == 0 {
-			sink = n.ID
+	for id, c := range fan {
+		if c == 0 {
+			sink = NodeID(id)
 		}
 	}
 	return sink
@@ -102,14 +103,15 @@ func (g *Graph) Output() NodeID {
 // Infer runs shape inference in topological order, filling in OutShape,
 // FwdFLOPs and Params on every node.
 func (g *Graph) Infer() error {
+	var ins []tensor.Shape // reused per node: layers do not retain it
 	for _, n := range g.nodes {
-		ins := make([]tensor.Shape, len(n.Inputs))
-		for i, in := range n.Inputs {
+		ins = ins[:0]
+		for _, in := range n.Inputs {
 			s := g.nodes[in].OutShape
 			if s == nil {
 				return fmt.Errorf("graph %s: node %q input %q has no shape", g.name, n.L.Name(), g.nodes[in].L.Name())
 			}
-			ins[i] = s
+			ins = append(ins, s)
 		}
 		out, err := n.L.InferShape(ins)
 		if err != nil {
@@ -133,10 +135,10 @@ func (g *Graph) Validate() error {
 	if !g.inferred {
 		return fmt.Errorf("graph %s: Validate before successful Infer", g.name)
 	}
-	cons := g.Consumers()
+	fan := g.fanOut()
 	sinks := 0
 	for _, n := range g.nodes {
-		if len(cons[n.ID]) == 0 {
+		if fan[n.ID] == 0 {
 			sinks++
 		}
 		_, isInput := n.L.(*layer.Input)
@@ -190,7 +192,9 @@ type Edge struct {
 // adjacent segments exactly one activation crosses. PinnedIn lists edges
 // entering this segment from a non-adjacent earlier segment — the U-Net
 // situation of §III-F4 — whose source activations must stay resident, be
-// swapped separately, or be recomputed.
+// swapped separately, or be recomputed. The Nodes of one Segments call
+// share a backing array; each slice is capacity-limited, so appending to
+// it copies instead of overwriting the next segment.
 type Segment struct {
 	Index    int
 	Nodes    []NodeID
@@ -210,30 +214,29 @@ func (g *Graph) Segments(maxOpen int) []Segment {
 		maxOpen = 1
 	}
 	g.mustInferred("Segments")
-	cons := g.Consumers()
-
 	// Sweep the topological order keeping, per producer, the number of
-	// unprocessed consumers of its output.
-	pending := make(map[NodeID]int)
+	// unprocessed consumer edges of its output; open counts the
+	// producers with edges still pending.
+	pending := g.fanOut()
+	flat := make([]NodeID, len(g.nodes))
 	var segs []Segment
-	var cur []NodeID
-	for _, n := range g.nodes {
+	open, start := 0, 0
+	for i, n := range g.nodes {
 		for _, in := range n.Inputs {
 			if pending[in]--; pending[in] == 0 {
-				delete(pending, in)
+				open--
 			}
 		}
-		if c := len(cons[n.ID]); c > 0 {
-			pending[n.ID] = c
+		if pending[i] > 0 {
+			open++
 		}
-		cur = append(cur, n.ID)
-		if len(pending) <= maxOpen {
-			segs = append(segs, Segment{Index: len(segs), Nodes: cur})
-			cur = nil
+		flat[i] = n.ID
+		// After the last node every edge is consumed (open == 0), so the
+		// final segment always closes here.
+		if open <= maxOpen {
+			segs = append(segs, Segment{Index: len(segs), Nodes: flat[start : i+1 : i+1]})
+			start = i + 1
 		}
-	}
-	if len(cur) > 0 {
-		segs = append(segs, Segment{Index: len(segs), Nodes: cur})
 	}
 
 	// Attach pinned edges: an edge whose producer lives in segment p and

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -263,5 +264,123 @@ func TestDOT(t *testing.T) {
 	// Shapes annotated after inference.
 	if !strings.Contains(dot, "16x8x8") {
 		t.Error("DOT should annotate inferred shapes")
+	}
+}
+
+// referenceSegments is the original map-based Segments: per producer, a
+// map entry counting unprocessed consumers, and a fresh slice per
+// segment. FuzzSegments holds the count-slice implementation to it.
+func referenceSegments(g *Graph, maxOpen int) []Segment {
+	if maxOpen < 1 {
+		maxOpen = 1
+	}
+	cons := make([][]NodeID, len(g.nodes))
+	for _, n := range g.nodes {
+		for _, in := range n.Inputs {
+			cons[in] = append(cons[in], n.ID)
+		}
+	}
+	pending := make(map[NodeID]int)
+	var segs []Segment
+	var cur []NodeID
+	for _, n := range g.nodes {
+		for _, in := range n.Inputs {
+			if pending[in]--; pending[in] == 0 {
+				delete(pending, in)
+			}
+		}
+		if c := len(cons[n.ID]); c > 0 {
+			pending[n.ID] = c
+		}
+		cur = append(cur, n.ID)
+		if len(pending) <= maxOpen {
+			segs = append(segs, Segment{Index: len(segs), Nodes: cur})
+			cur = nil
+		}
+	}
+	if len(cur) > 0 {
+		segs = append(segs, Segment{Index: len(segs), Nodes: cur})
+	}
+	segOf := make([]int, len(g.nodes))
+	for _, s := range segs {
+		for _, id := range s.Nodes {
+			segOf[id] = s.Index
+		}
+	}
+	for _, n := range g.nodes {
+		for _, in := range n.Inputs {
+			if segOf[n.ID] > segOf[in]+1 {
+				s := &segs[segOf[n.ID]]
+				s.PinnedIn = append(s.PinnedIn, Edge{From: in, To: n.ID})
+			}
+		}
+	}
+	return segs
+}
+
+// fuzzDAG builds a shape-preserving DAG from ops, one construct per
+// byte (low two bits pick it, the rest parameterize it):
+//
+//	0: chain      relu(last)
+//	1: residual   add(last, relu(relu(last)))     — local fan-out
+//	2: long skip  add(last, node[b>>2 % len])     — U-Net style skip
+//	3: repeat     add(last, last)                 — one input listed twice
+//
+// Skipped-over nodes may stay unconsumed, so the DAG can have several
+// sinks; Segments does not require a unique one.
+func fuzzDAG(ops []byte) *Graph {
+	g := New("fuzz")
+	last := g.Add(&layer.Input{LayerName: "in", Shape: tensor.CHW(2, 4, 4)})
+	for i, b := range ops {
+		if i == 64 {
+			break
+		}
+		switch b & 3 {
+		case 0:
+			last = g.Add(&layer.ReLU{LayerName: "r"}, last)
+		case 1:
+			a := g.Add(&layer.ReLU{LayerName: "ra"}, last)
+			c := g.Add(&layer.ReLU{LayerName: "rc"}, a)
+			last = g.Add(&layer.Add{LayerName: "res"}, last, c)
+		case 2:
+			last = g.Add(&layer.Add{LayerName: "skip"}, last, NodeID(int(b>>2)%g.Len()))
+		case 3:
+			last = g.Add(&layer.Add{LayerName: "dup"}, last, last)
+		}
+	}
+	if err := g.Infer(); err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// FuzzSegments: on random topological DAGs (chains, residual fan-out,
+// long skips, repeated inputs) and every maxOpen in 0..3, Segments
+// matches the map-based reference exactly — indexes, node lists and
+// pinned edges.
+func FuzzSegments(f *testing.F) {
+	f.Add([]byte{0, 0, 0}, byte(1))
+	f.Add([]byte{1, 1, 1, 0}, byte(1))
+	f.Add([]byte{0, 0, 0, 0, 2, 0, 6, 10}, byte(2))
+	f.Add([]byte{3, 1, 3, 2}, byte(0))
+	f.Fuzz(func(t *testing.T, ops []byte, maxOpen byte) {
+		g := fuzzDAG(ops)
+		mo := int(maxOpen % 4)
+		got, want := g.Segments(mo), referenceSegments(g, mo)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("maxOpen=%d ops=%v:\n got  %+v\n want %+v", mo, ops, got, want)
+		}
+	})
+}
+
+// TestSegmentsNodesIndependent: segments share one backing array, but
+// appending to one segment's Nodes must not overwrite its neighbour.
+func TestSegmentsNodesIndependent(t *testing.T) {
+	g := chain(t, 2)
+	segs := g.Segments(1)
+	next := segs[1].Nodes[0]
+	segs[0].Nodes = append(segs[0].Nodes, 99)
+	if segs[1].Nodes[0] != next {
+		t.Fatalf("append to segment 0 overwrote segment 1: %v", segs[1].Nodes)
 	}
 }

@@ -1,6 +1,9 @@
 package karma
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"karma/internal/hw"
@@ -339,5 +342,89 @@ func TestBuildPlanCkptRunSplit(t *testing.T) {
 	}
 	if _, _, err := pl.Simulate(s.Budget); err != nil {
 		t.Errorf("ckpt-split plan does not simulate: %v", err)
+	}
+}
+
+// TestBestPolicyResultSurvivesScratchReuse: bestPolicy rebuilds its
+// candidates in searcher scratch, and Plan's Opt-2 ladder holds one
+// call's winner across the next call. A returned schedule must therefore
+// never alias that scratch: a second call on another cut set leaves the
+// first winner unchanged and shares no Blocks backing array with it.
+func TestBestPolicyResultSurvivesScratchReuse(t *testing.T) {
+	p := profileFor(t, "resnet50", 256)
+	opts := Options{}
+	opts.normalize()
+	budget, err := ActivationBudget(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := newSearcher(p, budget, opts)
+	even := func(k int) []int {
+		cuts := make([]int, k-1)
+		for i := range cuts {
+			cuts[i] = (i + 1) * len(p.Blocks) / k
+		}
+		return cuts
+	}
+	inf := unit.Seconds(math.Inf(1))
+
+	first, _, err := sr.bestPolicy(even(8), inf)
+	if err != nil {
+		t.Fatalf("bestPolicy(8 blocks): %v", err)
+	}
+	snap := *first
+	snap.Blocks = slices.Clone(first.Blocks)
+
+	second, _, err := sr.bestPolicy(even(5), inf)
+	if err != nil {
+		t.Fatalf("bestPolicy(5 blocks): %v", err)
+	}
+	if !reflect.DeepEqual(*first, snap) {
+		t.Errorf("first winner changed by the second call:\n got  %+v\n want %+v", *first, snap)
+	}
+	if len(second.Blocks) == len(first.Blocks) {
+		t.Fatalf("both winners have %d blocks; the cut sets should differ", len(first.Blocks))
+	}
+	shares := func(a, b []Block) bool {
+		a, b = a[:cap(a)], b[:cap(b)]
+		for i := range a {
+			for j := range b {
+				if &a[i] == &b[j] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if shares(first.Blocks, second.Blocks) {
+		t.Error("the two winners share a Blocks backing array")
+	}
+	for _, w := range []*Schedule{first, second} {
+		if shares(w.Blocks, sr.cand.Blocks) || shares(w.Blocks, sr.base) {
+			t.Error("a winner aliases the searcher's scratch blocks")
+		}
+	}
+}
+
+// BenchmarkPlan measures the Opt-1/Opt-2 search on the mid-size
+// transformer (hidden 1536, 24 heads, 20 layers, seq 1024, vocab 50k) at
+// batch 8, with the options a karma-serve cold evaluation uses: the
+// residency regime, or weight streaming when the weights do not fit.
+func BenchmarkPlan(b *testing.B) {
+	g := model.Transformer(model.TransformerConfig{Name: "bench-lm", Hidden: 1536, Heads: 24, Layers: 20, Seq: 1024, Vocab: 50000})
+	p, err := profiler.New(g, hw.ABCINode(), profiler.Options{Batch: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{GradScale: 1, Seed: 1}
+	if _, err := Plan(p, opts); err != nil {
+		opts.StreamWeights = true
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Plan(p, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

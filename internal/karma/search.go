@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"karma/internal/hw"
@@ -145,10 +146,14 @@ type searcher struct {
 	seq      []occupancy.Block
 	arrive   []unit.Seconds
 
-	// bestPolicy / scheduleFromCuts scratch (distinct: bestPolicy holds
-	// its payload view across scheduleFromCuts calls)
+	// bestPolicy scratch: the merged blocks of the current cut set, their
+	// payloads, and the candidate under test, rebuilt in place for every
+	// resident depth. Only a strictly improving candidate is cloned out,
+	// so a returned schedule never aliases them (Plan holds one call's
+	// winner across the next).
+	base []Block
 	bpay []unit.Bytes
-	spay []unit.Bytes
+	cand Schedule
 
 	builder  plan.Builder
 	compiler plan.Compiler
@@ -344,19 +349,44 @@ func (sr *searcher) lowerBound(s *Schedule) float64 {
 // simulating, which cannot change the winner because selection is by
 // strict improvement.
 func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.Seconds, error) {
-	base := sr.scheduleFromCuts(cuts)
-	k := len(base.Blocks)
-	payloads := sr.bpay[:0]
-	for _, b := range base.Blocks {
+	// Merge the cut set from the cached numeric merges. Under
+	// StreamWeights every block carries its weight and (scaled) gradient
+	// payload, including resident blocks — their weights occupy the
+	// budget instead of the reserve.
+	n := len(sr.p.Blocks)
+	base, payloads := sr.base[:0], sr.bpay[:0]
+	start := 0
+	for i := 0; i <= len(cuts); i++ {
+		end := n
+		if i < len(cuts) {
+			end = cuts[i]
+		}
+		b := Block{Range: [2]int{start, end}, Cost: sr.mergeCosts(start, end)}
+		start = end
+		if sr.opts.StreamWeights {
+			b.WBytes = b.Cost.WeightBytes
+			b.GBytes = unit.Bytes(math.Ceil(sr.opts.GradScale * float64(b.Cost.WeightBytes)))
+		}
+		base = append(base, b)
 		payloads = append(payloads, b.Payload())
 	}
-	sr.bpay = payloads
-	maxResident := base.Resident
+	sr.base, sr.bpay = base, payloads
+	k := len(base)
+	maxResident := occupancy.ResidentSuffix(payloads, sr.budget)
+
+	cand := &sr.cand
+	*cand = Schedule{Profile: sr.p, Opts: sr.opts, Blocks: cand.Blocks, Budget: sr.budget}
+	// reset rebuilds the candidate as the plain partition with resident
+	// suffix [r:]; the caller assigns every block's policy.
+	reset := func(r int) {
+		cand.Blocks = append(cand.Blocks[:0], base...)
+		cand.Resident = r
+	}
 
 	var best *Schedule
 	bestTime := bound
 	var firstErr error
-	try := func(cand *Schedule) {
+	try := func() {
 		// Dominance prune: a candidate whose provable floor is already at
 		// or above the incumbent cannot strictly improve on it. The
 		// (1-1e-9) factor absorbs the different floating-point summation
@@ -372,7 +402,9 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 			return
 		}
 		if t < bestTime {
-			bestTime, best = t, cand
+			win := *cand
+			win.Blocks = slices.Clone(cand.Blocks)
+			bestTime, best = t, &win
 		}
 	}
 	for r := maxResident; r <= k; r++ {
@@ -385,8 +417,7 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 		}
 		// Candidate (a): capacity-based swapping with the greedy
 		// constraint-10.1 recompute interleave.
-		cand := sr.scheduleFromCuts(cuts)
-		cand.Resident = r
+		reset(r)
 		for i := range cand.Blocks {
 			if i < r {
 				cand.Blocks[i].Policy = Swap
@@ -397,17 +428,16 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 		if !sr.opts.DisableRecompute {
 			markRecompute(cand, sr.budget-tail, sr.bw, sr.lat)
 		}
-		try(cand)
+		try()
 
 		// Candidate (b): checkpointed full recompute of the prefix —
 		// adjacent runs split by resident boundary checkpoints (the
 		// gradient-checkpointing structure, which KARMA's two-tier
 		// optimization subsumes; Fig. 4's search space includes it).
 		if !sr.opts.DisableRecompute && r > 0 && r < k {
-			ck := sr.scheduleFromCuts(cuts)
-			ck.Resident = r
-			if checkpointPrefix(ck, r, sr.budget-tail) {
-				try(ck)
+			reset(r)
+			if checkpointPrefix(cand, r, sr.budget-tail) {
+				try()
 			}
 		}
 	}
@@ -418,42 +448,6 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 		return nil, 0, fmt.Errorf("karma: no simulable policy for budget %v", sr.budget)
 	}
 	return best, bestTime, nil
-}
-
-// scheduleFromCuts materializes a candidate schedule from the cached
-// numeric merges: merged blocks, resident suffix, and Swap policy for
-// the non-resident prefix. Under StreamWeights every block carries its
-// weight and (scaled) gradient payload, including resident blocks —
-// their weights occupy the budget instead of the reserve.
-func (sr *searcher) scheduleFromCuts(cuts []int) *Schedule {
-	n := len(sr.p.Blocks)
-	blocks := make([]Block, 0, len(cuts)+1)
-	payloads := sr.spay[:0]
-	start := 0
-	for i := 0; i <= len(cuts); i++ {
-		end := n
-		if i < len(cuts) {
-			end = cuts[i]
-		}
-		b := Block{Range: [2]int{start, end}, Cost: sr.mergeCosts(start, end)}
-		start = end
-		if sr.opts.StreamWeights {
-			b.WBytes = b.Cost.WeightBytes
-			b.GBytes = unit.Bytes(math.Ceil(sr.opts.GradScale * float64(b.Cost.WeightBytes)))
-		}
-		blocks = append(blocks, b)
-		payloads = append(payloads, b.Payload())
-	}
-	sr.spay = payloads
-	resident := occupancy.ResidentSuffix(payloads, sr.budget)
-	for i := range blocks {
-		if i < resident {
-			blocks[i].Policy = Swap
-		} else {
-			blocks[i].Policy = Keep
-		}
-	}
-	return &Schedule{Profile: sr.p, Opts: sr.opts, Blocks: blocks, Resident: resident, Budget: sr.budget}
 }
 
 // scheduleFromCuts materializes a schedule with fully merged blocks (the

@@ -210,3 +210,26 @@ func TestLSTMLM(t *testing.T) {
 		t.Error("registry builder mismatch")
 	}
 }
+
+// benchConfig is the mid-size transformer every per-layer benchmark
+// measures, so their ns/op line up (BenchmarkProfileNew and
+// BenchmarkPlan repeat the literal: test files cannot share it).
+var benchConfig = TransformerConfig{Name: "bench-lm", Hidden: 1536, Heads: 24, Layers: 20, Seq: 1024, Vocab: 50000}
+
+// BenchmarkTransformer measures the cold graph build of one evaluation:
+// the full model (pipeline baseline, KARMA-DP) and the 4-way MP shard
+// (the MP+DP and ZeRO hybrids).
+func BenchmarkTransformer(b *testing.B) {
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Transformer(benchConfig)
+		}
+	})
+	b.Run("shard-mp4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			TransformerShard(benchConfig, 4)
+		}
+	})
+}

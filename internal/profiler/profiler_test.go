@@ -269,3 +269,18 @@ func TestTensorCoreBoostSpeedsUpFP16Profile(t *testing.T) {
 		t.Error("tensor-core boost must not change fp32 compute times")
 	}
 }
+
+// BenchmarkProfileNew measures profiling the full mid-size transformer
+// (hidden 1536, 24 heads, 20 layers, seq 1024, vocab 50k) at batch 8:
+// shape-derived segment costs, Segments included.
+func BenchmarkProfileNew(b *testing.B) {
+	g := model.Transformer(model.TransformerConfig{Name: "bench-lm", Hidden: 1536, Heads: 24, Layers: 20, Seq: 1024, Vocab: 50000})
+	node := hw.ABCINode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(g, node, Options{Batch: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
