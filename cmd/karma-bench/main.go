@@ -212,7 +212,7 @@ func run(exp, modelName, backend, precision, topoName, traceOut string, ckpt, pi
 				fmt.Println()
 			}
 			if pe != nil {
-				if err := writePanelTraces(traceOut, panel, cfg.idx, cl, pe, fo); err != nil {
+				if err := writePanelTraces(traceOut, panel, pe); err != nil {
 					return err
 				}
 			}
@@ -232,7 +232,7 @@ func run(exp, modelName, backend, precision, topoName, traceOut string, ckpt, pi
 			fmt.Println()
 		}
 		if pe != nil {
-			if err := writePanelTraces(traceOut, turing, turingPanel, cl, pe, fo); err != nil {
+			if err := writePanelTraces(traceOut, turing, pe); err != nil {
 				return err
 			}
 		}

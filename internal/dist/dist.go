@@ -152,6 +152,10 @@ func finalize(iter unit.Seconds, gpus, globalBatch, samples int) *Result {
 	}
 }
 
+// maxBatch caps the per-replica batch, whose multiples overflow the
+// profiler's byte sizes; the pipeline capacity sweep stops at 8<<12.
+const maxBatch = 1 << 20
+
 // validateRun checks the argument combinations shared by all models.
 func validateRun(cl hw.Cluster, gpus, batch, samples int) error {
 	if gpus <= 0 {
@@ -159,6 +163,9 @@ func validateRun(cl hw.Cluster, gpus, batch, samples int) error {
 	}
 	if batch <= 0 {
 		return fmt.Errorf("dist: per-replica batch must be positive, got %d", batch)
+	}
+	if batch > maxBatch {
+		return fmt.Errorf("dist: per-replica batch %d exceeds the cap %d", batch, maxBatch)
 	}
 	if batch > math.MaxInt/gpus {
 		return fmt.Errorf("dist: global batch %d x %d overflows", gpus, batch)
@@ -168,6 +175,9 @@ func validateRun(cl hw.Cluster, gpus, batch, samples int) error {
 	}
 	if cl.Nodes <= 0 || cl.Node.Devices <= 0 {
 		return fmt.Errorf("dist: cluster %s has no devices", cl.Name)
+	}
+	if cl.Nodes > math.MaxInt/cl.Node.Devices {
+		return fmt.Errorf("dist: cluster %s device count %d x %d overflows", cl.Name, cl.Nodes, cl.Node.Devices)
 	}
 	return cl.Node.Device.Validate()
 }

@@ -91,6 +91,15 @@ func TestKARMAArgumentErrors(t *testing.T) {
 			{"karma-dp global batch overflow", func() (*Result, error) {
 				return ev.KARMADataParallel(g, cl, 1<<62, 4, samples, KARMAOptions{})
 			}},
+			// A node count whose device total overflows once read as a
+			// cluster of 0 devices; a batch this large overflowed the
+			// profiler's byte sizes into a panic.
+			{"cluster device count overflow", func() (*Result, error) {
+				huge := cl
+				huge.Nodes = 1 << 62
+				return ev.KARMADataParallel(g, huge, 4, 32, samples, KARMAOptions{})
+			}},
+			{"per-replica batch over cap", func() (*Result, error) { return ev.DataParallel(g, cl, 8, 1<<50, samples) }},
 		}
 		for _, tc := range cases {
 			if r, err := tc.run(); err == nil {

@@ -23,6 +23,10 @@ import (
 // Both backends agree on feasibility verdicts and coincide exactly for
 // fully in-core KARMA replicas; they differ in how out-of-core stalls
 // and per-layer collective overlap are costed.
+//
+// Evaluate is the one place that maps a Config's family to its method;
+// the planned backend's exports run the same evaluation and keep the
+// plan it simulated (see PlanExport).
 type Evaluator interface {
 	// Name identifies the backend ("analytic", "planned").
 	Name() string
@@ -73,6 +77,65 @@ func (Analytic) ZeRO(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perRe
 // Pipeline implements Evaluator.
 func (Analytic) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*Result, error) {
 	return Pipeline(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
+}
+
+// Families lists the parallelism families a Config selects, by their
+// karma-serve wire names.
+func Families() []string { return []string{"karma-dp", "dp", "mp+dp", "zero", "pipeline"} }
+
+// Config is one distributed-training configuration: a family (one of
+// Families) plus exactly the arguments of that family's Evaluator
+// method. Fields the family does not take are ignored.
+type Config struct {
+	Family string
+	// Graph is the karma-dp and dp model; when nil they build
+	// Transformer through CachedTransformer. Transformer is the model of
+	// the other families.
+	Graph                *graph.Graph
+	Transformer          model.TransformerConfig
+	Cluster              hw.Cluster
+	GPUs, Batch, Samples int // Batch is per replica
+	MP                   int // mp+dp, zero
+	Stages, Micro        int // pipeline
+	KARMA                KARMAOptions
+	Hybrid               HybridOptions
+}
+
+// graph returns the data-parallel families' model: Graph, or the cached
+// build of a valid Transformer.
+func (c Config) graph() (*graph.Graph, error) {
+	if c.Graph != nil {
+		return c.Graph, nil
+	}
+	if err := validateTransformer(c.Transformer); err != nil {
+		return nil, err
+	}
+	return CachedTransformer(c.Transformer), nil
+}
+
+// Evaluate evaluates c with ev through the family's Evaluator method.
+func Evaluate(ev Evaluator, c Config) (*Result, error) {
+	switch c.Family {
+	case "karma-dp":
+		g, err := c.graph()
+		if err != nil {
+			return nil, err
+		}
+		return ev.KARMADataParallel(g, c.Cluster, c.GPUs, c.Batch, c.Samples, c.KARMA)
+	case "dp":
+		g, err := c.graph()
+		if err != nil {
+			return nil, err
+		}
+		return ev.DataParallel(g, c.Cluster, c.GPUs, c.Batch, c.Samples)
+	case "mp+dp":
+		return ev.MegatronHybrid(c.Transformer, c.Cluster, c.MP, c.GPUs, c.Batch, c.Samples, c.Hybrid)
+	case "zero":
+		return ev.ZeRO(c.Transformer, c.Cluster, c.MP, c.GPUs, c.Batch, c.Samples, c.Hybrid)
+	case "pipeline":
+		return ev.Pipeline(c.Transformer, c.Cluster, c.Stages, c.GPUs, c.Batch, c.Micro, c.Samples, c.Hybrid)
+	}
+	return nil, fmt.Errorf("dist: unknown family %q", c.Family)
 }
 
 // BackendNames lists the selectable evaluator backends.

@@ -3,10 +3,8 @@ package dist
 import (
 	"fmt"
 
-	"karma/internal/comm"
 	"karma/internal/graph"
 	"karma/internal/hw"
-	"karma/internal/karma"
 	"karma/internal/model"
 	"karma/internal/plan"
 	"karma/internal/sim"
@@ -15,11 +13,12 @@ import (
 
 // PlanExport is one configuration's full execution story: the compiled
 // plan IR, its simulated timeline, the activation budget the simulation
-// ran under, and the verdict the evaluator produced for the same
-// configuration. The serve layer renders Plan as JSON (plan.Encode) and
-// Timeline as a Chrome trace (trace.Collect/WriteChrome); everything
-// here is freshly allocated — never aliased to the evaluator's pooled
-// scratch — so it may outlive the call arbitrarily.
+// ran under, and the verdict. An export is the planned evaluation with
+// its simulation kept, so plan, timeline and verdict are one derivation
+// (in-core KARMA excepted; see ExportKARMA). The serve layer renders
+// Plan as JSON (plan.Encode) and Timeline as a Chrome trace
+// (trace.Collect/WriteChrome); nothing here aliases the evaluator's
+// pooled scratch, so it may outlive the call arbitrarily.
 type PlanExport struct {
 	Plan     *plan.Plan
 	Compiled *plan.Compiled
@@ -28,132 +27,75 @@ type PlanExport struct {
 	Result   *Result
 }
 
-// exportable rejects configurations that have no plan to export,
-// rendering the evaluator's infeasibility reason.
-func exportable(r *Result) (*Result, error) {
+// keep records the simulation an evaluation ran; a nil export (the
+// evaluation path) keeps nothing.
+func (ex *PlanExport) keep(pl *plan.Plan, c *plan.Compiled, tl *sim.Timeline, budget unit.Bytes) {
+	if ex != nil {
+		ex.Plan, ex.Compiled, ex.Timeline, ex.Budget = pl, c, tl, budget
+	}
+}
+
+// finish completes an export from the evaluation that filled it. An
+// infeasible verdict has no plan; a failed simulation (which evaluation
+// would answer with the analytic fallback) surfaces as the error.
+func (ex *PlanExport) finish(r *Result, err error) (*PlanExport, error) {
+	if err != nil {
+		return nil, err
+	}
 	if !r.Feasible {
 		return nil, fmt.Errorf("dist: no plan for an infeasible configuration: %s", r.Reason)
 	}
-	return r, nil
+	ex.Result = r
+	return ex, nil
 }
 
-// ExportKARMA re-derives the planner-backed KARMA data-parallel plan for
-// one configuration and simulates it for export. Unlike the evaluator —
-// which delegates fully in-core configurations to the exact closed form
-// — the export always runs the partition search (an in-core profile
-// plans to all-resident blocks), so every feasible configuration yields
-// a concrete plan. The schedule and profile come from the evaluator's
-// memo caches; the plan, compilation and timeline are fresh.
-func (pe *Planned) ExportKARMA(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*PlanExport, error) {
-	res, err := pe.KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if res, err = exportable(res); err != nil {
-		return nil, err
-	}
-	p, err := pe.profile(g, cl.Node, perReplicaBatch, o.Precision.DType())
-	if err != nil {
-		return nil, err
-	}
-	gs := 1.0
-	if o.ZeROShard {
-		gs = 1 / float64(gpus)
-	}
-	opts := karma.Options{GradScale: gs, Seed: 1}
-	s, err := pe.plan(p, opts)
-	if err != nil {
-		opts.StreamWeights = true
-		if s, err = pe.plan(p, opts); err != nil {
+// Export evaluates c on the planned backend and keeps the plan behind
+// the verdict — the export counterpart of Evaluate. Conventional data
+// parallelism is closed-form and has no plan to export.
+func (pe *Planned) Export(c Config) (*PlanExport, error) {
+	switch c.Family {
+	case "karma-dp":
+		g, err := c.graph()
+		if err != nil {
 			return nil, err
 		}
+		return pe.ExportKARMA(g, c.Cluster, c.GPUs, c.Batch, c.Samples, c.KARMA)
+	case "mp+dp", "zero":
+		return pe.ExportHybrid(c.Transformer, c.Cluster, c.MP, c.GPUs, c.Batch, c.Samples, c.Family == "zero", c.Hybrid)
+	case "pipeline":
+		return pe.ExportPipeline(c.Transformer, c.Cluster, c.Stages, c.GPUs, c.Batch, c.Micro, c.Samples, c.Hybrid)
 	}
-	pl, err := karma.BuildPlan(s)
-	if err != nil {
-		return nil, err
-	}
-	if o.UpdateOnDevice {
-		addMomentumTraffic(pl, s, cl, o, gpus)
-	}
-	if gpus > 1 {
-		injectExchange(pl, s, cl, gpus)
-	}
-	c, tl, err := pl.Simulate(s.Budget)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: s.Budget, Result: res}, nil
+	return nil, fmt.Errorf("dist: family %q has no plan to export", c.Family)
 }
 
-// ExportHybrid re-derives the per-layer simulated MP+DP (or, with zero,
-// ZeRO) shard plan for one configuration. The stage arenas are fresh —
-// the evaluator's pooled scratch must never leak into a value that
-// outlives the call.
+// ExportKARMA evaluates one planner-backed KARMA data-parallel
+// configuration and keeps the replica plan it simulated.
+//
+// Fully in-core configurations are the one exception to "the export is
+// the verdict's own derivation": their verdict is the exact closed form,
+// which has no schedule, so the export keeps the partition-search plan
+// (an in-core profile plans to all-resident blocks) simulated beside it.
+// That timeline is longer than IterTime: a few percent on the large
+// CNNs, more on small or exchange-bound graphs (see README).
+func (pe *Planned) ExportKARMA(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*PlanExport, error) {
+	ex := new(PlanExport)
+	return ex.finish(pe.karma(g, cl, gpus, perReplicaBatch, samples, o, ex))
+}
+
+// ExportHybrid evaluates one per-layer simulated MP+DP (or, with zero,
+// ZeRO) configuration and keeps the shard plan it simulated.
 func (pe *Planned) ExportHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (*PlanExport, error) {
-	eval := pe.MegatronHybrid
 	if zero {
-		eval = pe.ZeRO
 		o.Phased = true // ZeRO's exchange is phased by construction
 	}
-	res, err := eval(cfg, cl, mp, gpus, perReplicaBatch, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if res, err = exportable(res); err != nil {
-		return nil, err
-	}
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o)
-	if err != nil {
-		return nil, err
-	}
-	if bad != nil {
-		return nil, fmt.Errorf("dist: no plan for an infeasible configuration: %s", bad.Reason)
-	}
-	var ex, mpArena stageArena
-	pl, err := buildHybridPlan(cfg, shard, p, s, cl, mp, gpus/mp, zero, o, &ex, &mpArena)
-	if err != nil {
-		return nil, err
-	}
-	c, tl, err := pl.Simulate(s.Budget)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: s.Budget, Result: res}, nil
+	ex := new(PlanExport)
+	return ex.finish(pe.hybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o, ex))
 }
 
-// ExportPipeline re-derives the simulated bottleneck-stage plan of one
-// pipeline configuration (the other stages contribute closed-form terms
-// only and have no per-op schedule to export).
+// ExportPipeline evaluates one pipeline configuration and keeps the
+// bottleneck-stage plan it simulated (the other stages contribute
+// closed-form terms only and have no per-op schedule to export).
 func (pe *Planned) ExportPipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*PlanExport, error) {
-	res, err := pe.Pipeline(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if res, err = exportable(res); err != nil {
-		return nil, err
-	}
-	sts, _, bad, err := pipelineSetup(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if bad != nil {
-		return nil, fmt.Errorf("dist: no plan for an infeasible configuration: %s", bad.Reason)
-	}
-	replicas := gpus / stages
-	backend := comm.Pick(stages * replicas)
-	wire, local := pipeWire(cl, stages, backend)
-	sb, best := 0, unit.Seconds(-1)
-	for s, st := range sts {
-		if r := st.rate(wire); r > best {
-			best, sb = r, s
-		}
-	}
-	st := sts[sb]
-	pl := buildStagePlan(st, micro, wire, local, sb, len(sts))
-	budget := pipelineBudget(st, cl, o)
-	c, tl, err := pl.Simulate(budget)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: budget, Result: res}, nil
+	ex := new(PlanExport)
+	return ex.finish(pe.pipeline(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o, ex))
 }

@@ -40,11 +40,11 @@ type HybridOptions struct {
 	Precision tensor.Precision
 }
 
-// validateTransformer rejects degenerate configurations before the model
-// builder (which panics on structural errors) runs.
+// validateTransformer rejects configurations the model builders (which
+// panic on structural errors) cannot construct, before they run.
 func validateTransformer(cfg model.TransformerConfig) error {
-	if cfg.Hidden <= 0 || cfg.Heads <= 0 || cfg.Layers <= 0 || cfg.Seq <= 0 || cfg.Vocab <= 0 {
-		return fmt.Errorf("dist: degenerate transformer config %+v", cfg)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
 	return nil
 }

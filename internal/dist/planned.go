@@ -155,6 +155,12 @@ func (pe *Planned) plan(p *profiler.Profile, opts karma.Options) (*karma.Schedul
 // KARMADataParallel implements Evaluator with the planner-backed replica
 // cost.
 func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
+	return pe.karma(g, cl, gpus, perReplicaBatch, samples, o, nil)
+}
+
+// karma is KARMADataParallel; a non-nil ex keeps the simulated replica
+// plan (see ExportKARMA).
+func (pe *Planned) karma(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions, ex *PlanExport) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("dist: nil graph")
 	}
@@ -191,10 +197,20 @@ func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perRep
 		if err != nil {
 			return nil, err
 		}
+		if ex != nil {
+			// The closed form has no schedule: export the partition
+			// search's instead (see ExportKARMA).
+			if _, _, err := pe.plannedIter(p, cl, gpus, o, gs, ex); err != nil {
+				return nil, err
+			}
+		}
 		return stamp(r), nil
 	}
-	iter, bd, err := pe.plannedIter(p, cl, gpus, o, gs)
+	iter, bd, err := pe.plannedIter(p, cl, gpus, o, gs, ex)
 	if err != nil {
+		if ex != nil {
+			return nil, err // an export has no plan to keep
+		}
 		// The search found no simulable schedule for a configuration the
 		// shared precheck deems feasible: keep the feasibility verdict
 		// aligned and fall back to the closed form.
@@ -209,29 +225,32 @@ func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perRep
 	return stamp(r), nil
 }
 
+// search returns the replica schedule: the single-GPU residency regime
+// (weights resident, only activations stream) when it fits, else the
+// §III-G weight-streaming regime.
+func (pe *Planned) search(p *profiler.Profile, gs float64) (*karma.Schedule, error) {
+	opts := karma.Options{GradScale: gs, Seed: 1}
+	s, err := pe.plan(p, opts)
+	if err != nil {
+		opts.StreamWeights = true
+		s, err = pe.plan(p, opts)
+	}
+	return s, err
+}
+
 // plannedIter plans one replica and simulates its iteration with the
-// phased gradient exchange overlapped. The returned breakdown derives
-// from the simulated timeline (timelineBreakdown) with the update cost
-// — which the simulation does not schedule — added to both the
-// iteration and its Update component, so the attribution still sums to
-// the iteration time.
-func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions, gs float64) (unit.Seconds, *Breakdown, error) {
+// phased gradient exchange overlapped, keeping the simulation in ex when
+// it is non-nil. The returned breakdown derives from the simulated
+// timeline (timelineBreakdown) with the update cost — which the
+// simulation does not schedule — added to both the iteration and its
+// Update component, so the attribution still sums to the iteration time.
+func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions, gs float64, ex *PlanExport) (unit.Seconds, *Breakdown, error) {
 	if pe.failSim {
 		return 0, nil, errForcedFallback
 	}
-	// Prefer the single-GPU residency regime (weights resident, only
-	// activations stream); when weights cannot stay resident, plan the
-	// §III-G weight-streaming regime instead.
-	opts := karma.Options{GradScale: gs, Seed: 1}
 	var s *karma.Schedule
 	var err error
-	pe.timed("search", func() {
-		s, err = pe.plan(p, opts)
-		if err != nil {
-			opts.StreamWeights = true
-			s, err = pe.plan(p, opts)
-		}
-	})
+	pe.timed("search", func() { s, err = pe.search(p, gs) })
 	if err != nil {
 		return 0, nil, err
 	}
@@ -259,6 +278,7 @@ func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o K
 	if err != nil {
 		return 0, nil, err
 	}
+	ex.keep(pl, c, tl, s.Budget)
 	upd := updateCost(s, cl, o, gs)
 	b := timelineBreakdown(c, tl)
 	b.Update += upd
@@ -399,7 +419,7 @@ func (pe *Planned) DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaB
 // MegatronHybrid implements Evaluator with the per-layer simulated shard
 // (see planned_hybrid.go).
 func (pe *Planned) MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
-	return pe.hybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, false, o)
+	return pe.hybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, false, o, nil)
 }
 
 // ZeRO implements Evaluator with the per-layer simulated shard; the
@@ -407,5 +427,5 @@ func (pe *Planned) MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp
 // all-gather under forward).
 func (pe *Planned) ZeRO(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
 	o.Phased = true
-	return pe.hybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, true, o)
+	return pe.hybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, true, o, nil)
 }

@@ -29,8 +29,10 @@ import (
 // process-wide memo caches) and the per-layer simulation; a simulator
 // failure on a configuration the shared precheck deems feasible falls
 // back to the analytic closed form (the result keeps its "analytic"
-// tag).
-func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (*Result, error) {
+// tag). A non-nil ex keeps the simulated shard plan (see ExportHybrid)
+// and simulates on fresh scratch, since a kept plan, compilation or
+// timeline must never alias the pooled buffers.
+func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions, ex *PlanExport) (*Result, error) {
 	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o)
 	if err != nil {
 		return nil, err
@@ -45,8 +47,18 @@ func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, 
 		res.Ckpt = o.Checkpoint
 		return res
 	}
-	iter, bd, err := pe.hybridIter(cfg, shard, p, s, cl, mp, replicas, zero, o)
+	var sc *hybridScratch
+	if ex != nil {
+		sc = new(hybridScratch)
+	} else {
+		sc = hybridScratchPool.Get().(*hybridScratch)
+		defer hybridScratchPool.Put(sc)
+	}
+	iter, bd, err := pe.hybridIter(cfg, shard, p, s, cl, mp, replicas, zero, o, sc, ex)
 	if err != nil {
+		if ex != nil {
+			return nil, err // an export has no plan to keep
+		}
 		c := megatronCost(cfg, shard, p, s, cl, mp, replicas, zero, o)
 		res := r(c.iter()) // Backend stays "analytic": explicit fallback
 		res.Breakdown = c.breakdown()
@@ -58,41 +70,29 @@ func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, 
 	return res, nil
 }
 
-// buildHybridPlan lowers the shard schedule to the plan IR and injects
-// the MP collectives, the data-parallel exchange and the closing update
-// — the shared front half of hybridIter and the export API. The arenas
-// back the injectors' rebuilt stage lists (pooled in the evaluator's hot
-// path, fresh for exports that outlive the call).
-func buildHybridPlan(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions, ex, mpArena *stageArena) (*plan.Plan, error) {
-	pl, err := karma.BuildPlan(s)
-	if err != nil {
-		return nil, err
-	}
-	// Exchange first, collectives second: the walk below then queues each
-	// backward's blocking all-reduce ahead of the exchange phase it
-	// unblocks, the priority a real implementation gives the collective
-	// the next layer's compute is stalled on.
-	injectHybridExchange(pl, s, cl, replicas, mp*replicas, zero, o, ex)
-	injectMPCollectives(pl, s, shard, p, cfg, cl, mp, replicas, mpArena)
-	appendHybridUpdate(pl, s, cl, zero, replicas)
-	return pl, nil
-}
-
-// hybridIter lowers the shard schedule to a plan, injects the exchange
-// and the MP collectives, and simulates one iteration. The breakdown
-// derives from the simulated timeline; the update is a scheduled op
-// here, so no supplement is needed and the components sum to the
-// makespan by construction.
-func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) (unit.Seconds, *Breakdown, error) {
+// hybridIter lowers the shard schedule to the plan IR, injects the MP
+// collectives, the data-parallel exchange and the closing update, and
+// simulates one iteration on sc, keeping the simulation in ex when it is
+// non-nil. The breakdown derives from the simulated timeline; the update
+// is a scheduled op here, so no supplement is needed and the components
+// sum to the makespan by construction.
+func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions, sc *hybridScratch, ex *PlanExport) (unit.Seconds, *Breakdown, error) {
 	if pe.failSim {
 		return 0, nil, errForcedFallback
 	}
-	sc := hybridScratchPool.Get().(*hybridScratch)
-	defer hybridScratchPool.Put(sc)
 	var pl *plan.Plan
 	var err error
 	pe.timed("plan_build", func() {
-		pl, err = buildHybridPlan(cfg, shard, p, s, cl, mp, replicas, zero, o, &sc.ex, &sc.mp)
+		if pl, err = karma.BuildPlan(s); err != nil {
+			return
+		}
+		// Exchange first, collectives second: the walk then queues each
+		// backward's blocking all-reduce ahead of the exchange phase it
+		// unblocks, the priority a real implementation gives the
+		// collective the next layer's compute is stalled on.
+		injectHybridExchange(pl, s, cl, replicas, mp*replicas, zero, o, &sc.ex)
+		injectMPCollectives(pl, s, shard, p, cfg, cl, mp, replicas, &sc.mp)
+		appendHybridUpdate(pl, s, cl, zero, replicas)
 	})
 	if err != nil {
 		return 0, nil, err
@@ -115,6 +115,7 @@ func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p
 	if err != nil {
 		return 0, nil, err
 	}
+	ex.keep(pl, c, tl, s.Budget)
 	return tl.Makespan, timelineBreakdown(c, tl), nil
 }
 

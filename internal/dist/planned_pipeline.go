@@ -27,6 +27,12 @@ import (
 // feasible falls back to the analytic closed form (the result keeps its
 // "analytic" tag, Ckpt still recorded — the fallback contract).
 func (pe *Planned) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*Result, error) {
+	return pe.pipeline(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o, nil)
+}
+
+// pipeline is Pipeline; a non-nil ex keeps the simulated bottleneck-stage
+// plan (see ExportPipeline).
+func (pe *Planned) pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions, ex *PlanExport) (*Result, error) {
 	sts, _, bad, err := pipelineSetup(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
 	if err != nil {
 		return nil, err
@@ -41,8 +47,11 @@ func (pe *Planned) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, 
 		res.Ckpt = o.Checkpoint
 		return res
 	}
-	iter, bd, err := pe.pipeIter(sts, cl, stages, replicas, micro, o)
+	iter, bd, err := pe.pipeIter(sts, cl, stages, replicas, micro, o, ex)
 	if err != nil {
+		if ex != nil {
+			return nil, err // an export has no plan to keep
+		}
 		c := pipelineCost(sts, cl, stages, replicas, micro, o)
 		res := r(c.iter()) // Backend stays "analytic": explicit fallback
 		res.Breakdown = c.breakdown()
@@ -54,14 +63,15 @@ func (pe *Planned) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, 
 	return res, nil
 }
 
-// pipeIter simulates the bottleneck stage's micro-batch loop and closes
-// the iteration with the analytic fill/drain, exchange and update terms.
+// pipeIter simulates the bottleneck stage's micro-batch loop, keeping
+// the simulation in ex when it is non-nil, and closes the iteration with
+// the analytic fill/drain, exchange and update terms.
 // The breakdown derives from the simulated timeline; the closed-form
 // supplement lands on the components it represents (other stages'
 // traversal and wires are pipeline bubble from the bottleneck's seat,
 // the exchange stall and update on their own components), so the
 // attribution still sums to the iteration time.
-func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, micro int, o HybridOptions) (unit.Seconds, *Breakdown, error) {
+func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, micro int, o HybridOptions, ex *PlanExport) (unit.Seconds, *Breakdown, error) {
 	if pe.failSim {
 		return 0, nil, errForcedFallback
 	}
@@ -80,15 +90,17 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 	pe.timed("plan_build", func() {
 		pl = buildStagePlan(st, micro, wire, local, sb, len(sts))
 	})
+	budget := pipelineBudget(st, cl, o)
 	var cp *plan.Compiled
 	var tl *sim.Timeline
 	var err error
 	pe.timed("simulate", func() {
-		cp, tl, err = pl.Simulate(pipelineBudget(st, cl, o))
+		cp, tl, err = pl.Simulate(budget)
 	})
 	if err != nil {
 		return 0, nil, err
 	}
+	ex.keep(pl, cp, tl, budget)
 
 	// Closed-form supplement: the traversal through every other stage and
 	// every boundary the simulation did not carry (both directions of the

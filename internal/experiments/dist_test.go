@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"karma/internal/dist"
 	"karma/internal/hw"
 	"karma/internal/model"
+	"karma/internal/tensor"
 )
 
 func TestFigure8Megatron8B(t *testing.T) {
@@ -216,5 +218,44 @@ func TestRepeatPanelsHitPlannedCaches(t *testing.T) {
 	}
 	if d := second.Entries - first.Entries; d != 0 {
 		t.Errorf("repeat pass added %d planned-cache entries, want 0", d)
+	}
+}
+
+// TestFig8ConfigsReproduceResults pins that each Fig. 8 cell records the
+// configuration behind its number: evaluating Configs[m] again (on a
+// fresh evaluator) reproduces Results[m] exactly, capacity-searched
+// cells (ZeRO, the Turing pipeline) included, on both backends.
+func TestFig8ConfigsReproduceResults(t *testing.T) {
+	cl := hw.ABCI()
+	for _, backend := range dist.BackendNames() {
+		for _, fo := range []FamilyOptions{
+			{Ckpt: true, Precision: tensor.MixedFP16, Pipeline: true},
+			{Pipeline: true},
+		} {
+			ev, _ := dist.ByName(backend)
+			mega, err := Figure8Megatron(cl, 2, []int{128, 512}, ev, fo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			turing, err := Figure8Turing(cl, []int{512, 2048}, ev, fo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ := dist.ByName(backend)
+			for _, p := range []*Fig8Panel{mega, turing} {
+				for _, row := range p.Rows {
+					for _, m := range p.Methods {
+						got, err := dist.Evaluate(fresh, row.Configs[m])
+						if err != nil {
+							t.Fatalf("%s %s %s@%d: %v", backend, p.Model, m, row.GPUs, err)
+						}
+						if !reflect.DeepEqual(got, row.Results[m]) {
+							t.Errorf("%s %s %s@%d (%+v): config evaluates to %+v, cell holds %+v",
+								backend, p.Model, m, row.GPUs, fo, got, row.Results[m])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -63,6 +63,9 @@ func (o FamilyOptions) micro(perReplicaBatch int) int {
 type Fig8Row struct {
 	GPUs    int                     `json:"gpus"`
 	Results map[string]*dist.Result `json:"results"` // keyed by method name
+	// Configs holds the configuration behind each result (capacity
+	// searches resolved): dist.Evaluate(ev, Configs[m]) is Results[m].
+	Configs map[string]dist.Config `json:"-"`
 }
 
 // Fig8Panel is one model's scaling sweep.
@@ -90,7 +93,6 @@ func Figure8Megatron(cl hw.Cluster, cfgIdx int, gpusList []int, ev dist.Evaluato
 	cfg := cfgs[cfgIdx]
 	mp := 1 << cfgIdx // Table IV: MP = 1,2,4,8,16
 	const perReplicaBatch = 4
-	g := dist.CachedTransformer(cfg)
 	panel := &Fig8Panel{
 		Model:   cfg.Name,
 		Methods: []string{"mp+dp", "mp+dp-opt", "karma-dp"},
@@ -98,18 +100,21 @@ func Figure8Megatron(cl hw.Cluster, cfgIdx int, gpusList []int, ev dist.Evaluato
 	if o.Pipeline {
 		panel.Methods = append(panel.Methods, "pipeline")
 	}
-	cells, err := runGrid(o.Workers, len(gpusList), len(panel.Methods), func(ri, mi int) (*dist.Result, error) {
-		gpus := gpusList[ri]
-		switch panel.Methods[mi] {
-		case "mp+dp":
-			return ev.MegatronHybrid(cfg, cl, mp, gpus, perReplicaBatch, openWTSamples, o.hybrid(false))
-		case "mp+dp-opt":
-			return ev.MegatronHybrid(cfg, cl, mp, gpus, perReplicaBatch, openWTSamples, o.hybrid(true))
-		case "karma-dp":
-			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, openWTSamples, o.karma())
-		default: // pipeline
-			return ev.Pipeline(cfg, cl, mp, gpus, perReplicaBatch, o.micro(perReplicaBatch), openWTSamples, o.hybrid(true))
+	cells, err := runGrid(o.Workers, len(gpusList), len(panel.Methods), func(ri, mi int) (cell, error) {
+		c := dist.Config{
+			Family: panel.Methods[mi], Transformer: cfg, Cluster: cl,
+			GPUs: gpusList[ri], Batch: perReplicaBatch, Samples: openWTSamples,
+			MP: mp, Hybrid: o.hybrid(false),
 		}
+		switch c.Family {
+		case "mp+dp-opt":
+			c.Family, c.Hybrid.Phased = "mp+dp", true
+		case "karma-dp":
+			c.KARMA = o.karma()
+		case "pipeline":
+			c.Stages, c.Micro, c.Hybrid.Phased = mp, o.micro(perReplicaBatch), true
+		}
+		return evalCell(ev, c)
 	})
 	if err != nil {
 		return nil, err
@@ -118,14 +123,26 @@ func Figure8Megatron(cl hw.Cluster, cfgIdx int, gpusList []int, ev dist.Evaluato
 	return panel, nil
 }
 
+// cell is one evaluated grid point: the configuration and its verdict.
+type cell struct {
+	cfg dist.Config
+	res *dist.Result
+}
+
+// evalCell evaluates a grid point whose configuration is fixed up front.
+func evalCell(ev dist.Evaluator, c dist.Config) (cell, error) {
+	r, err := dist.Evaluate(ev, c)
+	return cell{c, r}, err
+}
+
 // runGrid evaluates a rows x methods grid under the worker bound,
 // landing each cell by its grid index so any worker count yields the
 // same cells; an error surfaces exactly as the serial row-major loop
 // would report it (lowest grid index wins — sweep.Do's contract).
-func runGrid(workers, rows, methods int, job func(ri, mi int) (*dist.Result, error)) ([][]*dist.Result, error) {
-	out := make([][]*dist.Result, rows)
+func runGrid[T any](workers, rows, methods int, job func(ri, mi int) (T, error)) ([][]T, error) {
+	out := make([][]T, rows)
 	for ri := range out {
-		out[ri] = make([]*dist.Result, methods)
+		out[ri] = make([]T, methods)
 	}
 	err := sweep.Do(workers, rows*methods, func(i int) error {
 		ri, mi := i/methods, i%methods
@@ -143,12 +160,13 @@ func runGrid(workers, rows, methods int, job func(ri, mi int) (*dist.Result, err
 }
 
 // fill materializes the panel rows from the evaluated grid (serially:
-// the Results maps are not written from sweep goroutines).
-func (p *Fig8Panel) fill(gpusList []int, cells [][]*dist.Result) {
+// the rows' maps are not written from sweep goroutines).
+func (p *Fig8Panel) fill(gpusList []int, cells [][]cell) {
 	for ri, gpus := range gpusList {
-		row := Fig8Row{GPUs: gpus, Results: map[string]*dist.Result{}}
+		row := Fig8Row{GPUs: gpus, Results: map[string]*dist.Result{}, Configs: map[string]dist.Config{}}
 		for mi, m := range p.Methods {
-			row.Results[m] = cells[ri][mi]
+			row.Results[m] = cells[ri][mi].res
+			row.Configs[m] = cells[ri][mi].cfg
 		}
 		p.Rows = append(p.Rows, row)
 	}
@@ -240,7 +258,6 @@ func Figure8Turing(cl hw.Cluster, gpusList []int, ev dist.Evaluator, o FamilyOpt
 	cfg := model.TuringNLG()
 	const perReplicaBatch = 2
 	const pipeStages = 16 // matches the shipped MP=16 device split
-	g := dist.CachedTransformer(cfg)
 	panel := &Fig8Panel{
 		Model:   cfg.Name,
 		Methods: []string{"zero", "karma-dp", "zero+karma"},
@@ -248,22 +265,28 @@ func Figure8Turing(cl hw.Cluster, gpusList []int, ev dist.Evaluator, o FamilyOpt
 	if o.Pipeline {
 		panel.Methods = append(panel.Methods, "pipeline")
 	}
-	cells, err := runGrid(o.Workers, len(gpusList), len(panel.Methods), func(ri, mi int) (*dist.Result, error) {
-		gpus := gpusList[ri]
+	cells, err := runGrid(o.Workers, len(gpusList), len(panel.Methods), func(ri, mi int) (cell, error) {
+		c := dist.Config{
+			Family: "karma-dp", Transformer: cfg, Cluster: cl,
+			GPUs: gpusList[ri], Batch: perReplicaBatch, Samples: openWTSamples,
+			KARMA: o.karma(), Hybrid: o.hybrid(true),
+		}
+		var r *dist.Result
+		var err error
 		switch panel.Methods[mi] {
 		case "zero":
-			_, _, zero, err := ZeROBestConfig(cfg, cl, gpus, ev, o)
-			return zero, err
-		case "karma-dp":
-			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, openWTSamples, o.karma())
+			c.Family = "zero"
+			c.MP, c.Batch, r, err = ZeROBestConfig(cfg, cl, c.GPUs, ev, o)
+			return cell{c, r}, err
 		case "zero+karma":
-			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, openWTSamples,
-				dist.KARMAOptions{ZeROShard: true, Precision: o.Precision})
-		default: // pipeline
-			micro := o.micro(perReplicaBatch * pipeStages) // capacity sweep floor
-			_, pipe, err := dist.PipelineCapacityBatch(cfg, cl, pipeStages, gpus, micro, openWTSamples, ev, o.hybrid(true))
-			return pipe, err
+			c.KARMA.ZeROShard = true
+		case "pipeline":
+			c.Family, c.Stages = "pipeline", pipeStages
+			c.Micro = o.micro(perReplicaBatch * pipeStages) // capacity sweep floor
+			c.Batch, r, err = dist.PipelineCapacityBatch(cfg, cl, pipeStages, c.GPUs, c.Micro, openWTSamples, ev, c.Hybrid)
+			return cell{c, r}, err
 		}
+		return evalCell(ev, c)
 	})
 	if err != nil {
 		return nil, err

@@ -251,6 +251,27 @@ func TransformerByName(name string) (TransformerConfig, bool) {
 	return TransformerConfig{}, false
 }
 
+// Validate's dimension caps, far above every shipped configuration
+// (at most hidden 4256, 78 layers, seq 2048, vocab 52000).
+const maxHidden, maxSeq, maxVocab, maxLayers = 1 << 16, 1 << 16, 1 << 22, 1 << 12
+
+// Validate rejects configurations the builders cannot construct (they
+// panic on them) or whose sizes overflow: non-positive or capped
+// dimensions, and a hidden size the attention heads do not divide.
+func (c TransformerConfig) Validate() error {
+	if c.Hidden <= 0 || c.Heads <= 0 || c.Layers <= 0 || c.Seq <= 0 || c.Vocab <= 0 {
+		return fmt.Errorf("transformer dimensions must be positive: %+v", c)
+	}
+	if c.Hidden > maxHidden || c.Seq > maxSeq || c.Vocab > maxVocab || c.Layers > maxLayers {
+		return fmt.Errorf("transformer dimensions exceed the caps (hidden and seq %d, vocab %d, layers %d): %+v",
+			maxHidden, maxVocab, maxLayers, c)
+	}
+	if c.Hidden%c.Heads != 0 {
+		return fmt.Errorf("transformer hidden %d is not a multiple of heads %d", c.Hidden, c.Heads)
+	}
+	return nil
+}
+
 // Params returns the approximate trainable parameter count
 // (12·L·H² for the blocks plus the embedding), the quantity the paper's
 // Table IV "P" column reports.

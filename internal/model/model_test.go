@@ -233,3 +233,39 @@ func BenchmarkTransformer(b *testing.B) {
 		}
 	})
 }
+
+// TestTransformerConfigValidate pins the shapes Validate accepts and
+// rejects: every shipped configuration passes, and each rejected shape
+// is one the builders would panic on or overflow with.
+func TestTransformerConfigValidate(t *testing.T) {
+	ok := TransformerConfig{Hidden: 64, Heads: 8, Layers: 2, Seq: 128, Vocab: 1000}
+	for _, c := range append(MegatronConfigs(), TuringNLG(), ok,
+		TransformerConfig{Hidden: maxHidden, Heads: 1, Layers: maxLayers, Seq: maxSeq, Vocab: maxVocab}) {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+	with := func(f func(*TransformerConfig)) TransformerConfig {
+		c := ok
+		f(&c)
+		return c
+	}
+	for name, c := range map[string]TransformerConfig{
+		"zero value":        {},
+		"zero hidden":       with(func(c *TransformerConfig) { c.Hidden = 0 }),
+		"negative heads":    with(func(c *TransformerConfig) { c.Heads = -8 }),
+		"zero layers":       with(func(c *TransformerConfig) { c.Layers = 0 }),
+		"zero seq":          with(func(c *TransformerConfig) { c.Seq = 0 }),
+		"zero vocab":        with(func(c *TransformerConfig) { c.Vocab = 0 }),
+		"heads not divisor": with(func(c *TransformerConfig) { c.Heads = 7 }),
+		"heads over hidden": with(func(c *TransformerConfig) { c.Heads = 128 }),
+		"hidden over cap":   with(func(c *TransformerConfig) { c.Hidden, c.Heads = 1<<62, 1 }),
+		"seq over cap":      with(func(c *TransformerConfig) { c.Seq = maxSeq + 1 }),
+		"vocab over cap":    with(func(c *TransformerConfig) { c.Vocab = maxVocab + 1 }),
+		"layers over cap":   with(func(c *TransformerConfig) { c.Layers = maxLayers + 1 }),
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: %+v validated", name, c)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"karma/internal/dist"
 	"karma/internal/experiments"
-	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/model"
 	"karma/internal/tensor"
@@ -107,19 +106,16 @@ type EvaluateRequest struct {
 	UpdateOnDevice bool `json:"update_on_device,omitempty"`
 }
 
-// evaluateFamilies lists the accepted Family values.
-var evaluateFamilies = []string{"karma-dp", "dp", "mp+dp", "zero", "pipeline"}
-
 // normalize validates the request and writes back every default, so the
 // canonical marshaling of two semantically identical requests is
 // byte-identical (the response-cache key).
 func (r *EvaluateRequest) normalize() error {
 	families := map[string]bool{}
-	for _, f := range evaluateFamilies {
+	for _, f := range dist.Families() {
 		families[f] = true
 	}
 	if !families[r.Family] {
-		return fmt.Errorf("unknown family %q (have %s)", r.Family, strings.Join(evaluateFamilies, ", "))
+		return fmt.Errorf("unknown family %q (have %s)", r.Family, strings.Join(dist.Families(), ", "))
 	}
 	if r.Backend == "" {
 		r.Backend = "analytic"
@@ -151,9 +147,8 @@ func (r *EvaluateRequest) normalize() error {
 		}
 	}
 	if r.Transformer != nil {
-		c := r.Transformer
-		if c.Hidden <= 0 || c.Heads <= 0 || c.Layers <= 0 || c.Seq <= 0 || c.Vocab <= 0 {
-			return fmt.Errorf("transformer dimensions must be positive: %+v", *c)
+		if err := r.Transformer.Validate(); err != nil {
+			return err
 		}
 	}
 	if r.GPUs <= 0 {
@@ -201,53 +196,41 @@ func (r *EvaluateRequest) normalize() error {
 	return nil
 }
 
-// graphFor resolves the request's full-model graph through the dist
-// graph cache, so repeated requests reuse one *graph.Graph, which keeps
-// the planner's pointer-keyed caches hitting.
-func (r *EvaluateRequest) graphFor() (*graph.Graph, error) {
-	if r.Transformer != nil {
-		return dist.CachedTransformer(*r.Transformer), nil
+// config resolves the normalized request into the configuration it
+// names: the cluster, the precision, and a registry model's graph
+// (through the dist graph cache, so repeated requests reuse one
+// *graph.Graph and the planner's pointer-keyed caches keep hitting).
+func (r *EvaluateRequest) config() (dist.Config, error) {
+	cl, err := r.Cluster.cluster()
+	if err != nil {
+		return dist.Config{}, err
 	}
-	return dist.CachedModel(r.Model)
+	prec, err := tensor.ParsePrecision(r.Precision)
+	if err != nil {
+		return dist.Config{}, err
+	}
+	c := dist.Config{
+		Family: r.Family, Cluster: cl,
+		GPUs: r.GPUs, Batch: r.Batch, Samples: r.Samples,
+		MP: r.MP, Stages: r.Stages, Micro: r.Micro,
+		KARMA:  dist.KARMAOptions{UpdateOnDevice: r.UpdateOnDevice, ZeROShard: r.ZeROShard, Precision: prec},
+		Hybrid: dist.HybridOptions{Phased: r.Phased, Checkpoint: r.Ckpt, Precision: prec},
+	}
+	if r.Transformer != nil {
+		c.Transformer = *r.Transformer
+	} else if c.Graph, err = dist.CachedModel(r.Model); err != nil {
+		return dist.Config{}, err
+	}
+	return c, nil
 }
 
 // evaluate runs the normalized request against the evaluator.
 func (r *EvaluateRequest) evaluate(ev dist.Evaluator) (*dist.Result, error) {
-	cl, err := r.Cluster.cluster()
+	c, err := r.config()
 	if err != nil {
 		return nil, err
 	}
-	prec, err := tensor.ParsePrecision(r.Precision)
-	if err != nil {
-		return nil, err
-	}
-	ho := dist.HybridOptions{Phased: r.Phased, Checkpoint: r.Ckpt, Precision: prec}
-	switch r.Family {
-	case "karma-dp":
-		g, err := r.graphFor()
-		if err != nil {
-			return nil, err
-		}
-		return ev.KARMADataParallel(g, cl, r.GPUs, r.Batch, r.Samples, dist.KARMAOptions{
-			UpdateOnDevice: r.UpdateOnDevice,
-			ZeROShard:      r.ZeROShard,
-			Precision:      prec,
-		})
-	case "dp":
-		g, err := r.graphFor()
-		if err != nil {
-			return nil, err
-		}
-		return ev.DataParallel(g, cl, r.GPUs, r.Batch, r.Samples)
-	case "mp+dp":
-		return ev.MegatronHybrid(*r.Transformer, cl, r.MP, r.GPUs, r.Batch, r.Samples, ho)
-	case "zero":
-		return ev.ZeRO(*r.Transformer, cl, r.MP, r.GPUs, r.Batch, r.Samples, ho)
-	case "pipeline":
-		return ev.Pipeline(*r.Transformer, cl, r.Stages, r.GPUs, r.Batch, r.Micro, r.Samples, ho)
-	default:
-		return nil, fmt.Errorf("unknown family %q", r.Family)
-	}
+	return dist.Evaluate(ev, c)
 }
 
 // EvaluateResponse wraps one configuration's evaluation.

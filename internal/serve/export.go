@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"karma/internal/dist"
-	"karma/internal/tensor"
 	"karma/internal/trace"
 )
 
@@ -134,42 +133,18 @@ func (s *Server) exportRequest(w http.ResponseWriter, r *http.Request, endpoint 
 	return req, key, true
 }
 
-// export dispatches a normalized request to the planned evaluator's
-// export API.
+// export runs a normalized request through the planned evaluator's
+// export, which keeps the plan behind the verdict.
 func (s *Server) export(req *EvaluateRequest) (*dist.PlanExport, error) {
 	pe, ok := s.evals["planned"].(*dist.Planned)
 	if !ok {
 		return nil, fmt.Errorf("planned backend unavailable")
 	}
-	cl, err := req.Cluster.cluster()
+	c, err := req.config()
 	if err != nil {
 		return nil, err
 	}
-	prec, err := tensor.ParsePrecision(req.Precision)
-	if err != nil {
-		return nil, err
-	}
-	ho := dist.HybridOptions{Phased: req.Phased, Checkpoint: req.Ckpt, Precision: prec}
-	switch req.Family {
-	case "karma-dp":
-		g, err := req.graphFor()
-		if err != nil {
-			return nil, err
-		}
-		return pe.ExportKARMA(g, cl, req.GPUs, req.Batch, req.Samples, dist.KARMAOptions{
-			UpdateOnDevice: req.UpdateOnDevice,
-			ZeROShard:      req.ZeROShard,
-			Precision:      prec,
-		})
-	case "mp+dp":
-		return pe.ExportHybrid(*req.Transformer, cl, req.MP, req.GPUs, req.Batch, req.Samples, false, ho)
-	case "zero":
-		return pe.ExportHybrid(*req.Transformer, cl, req.MP, req.GPUs, req.Batch, req.Samples, true, ho)
-	case "pipeline":
-		return pe.ExportPipeline(*req.Transformer, cl, req.Stages, req.GPUs, req.Batch, req.Micro, req.Samples, ho)
-	default:
-		return nil, fmt.Errorf("family %q has no plan to export", req.Family)
-	}
+	return pe.Export(c)
 }
 
 // PlanResponse is the /v1/plan body: the compiled plan in its canonical

@@ -406,6 +406,21 @@ func TestBadRequests(t *testing.T) {
 			`{"family":"karma-dp","model":"megatron-0.3B","gpus":4611686018427387904,"batch":4}`, http.StatusUnprocessableEntity},
 		{"planned karma-dp global batch overflow", http.MethodPost, "/v1/evaluate",
 			`{"family":"karma-dp","model":"megatron-0.3B","gpus":4611686018427387904,"batch":4,"backend":"planned"}`, http.StatusUnprocessableEntity},
+		// A node count whose device total overflows int once read as a
+		// 0-device cluster; a 2^50 batch once panicked the profiler
+		// (negative transfer size) into a 500.
+		{"cluster device count overflow", http.MethodPost, "/v1/evaluate",
+			`{"family":"karma-dp","model":"megatron-0.3B","gpus":128,"batch":4,"cluster":{"nodes":4611686018427387904}}`, http.StatusUnprocessableEntity},
+		{"per-replica batch over cap", http.MethodPost, "/v1/evaluate",
+			`{"family":"dp","model":"resnet50","gpus":8,"batch":1125899906842624}`, http.StatusUnprocessableEntity},
+		// Shapes the transformer builder panics on (a 500 before
+		// model.TransformerConfig.Validate).
+		{"heads do not divide hidden", http.MethodPost, "/v1/evaluate",
+			`{"family":"dp","transformer":{"hidden":64,"heads":7,"layers":2,"seq":128,"vocab":1000},"gpus":8,"batch":4}`, http.StatusBadRequest},
+		{"more heads than hidden", http.MethodPost, "/v1/evaluate",
+			`{"family":"karma-dp","transformer":{"hidden":64,"heads":128,"layers":2,"seq":128,"vocab":1000},"gpus":8,"batch":4}`, http.StatusBadRequest},
+		{"hidden over cap", http.MethodPost, "/v1/evaluate",
+			`{"family":"karma-dp","transformer":{"hidden":4611686018427387904,"heads":1,"layers":2,"seq":128,"vocab":1000},"gpus":8,"batch":4}`, http.StatusBadRequest},
 		{"hybrid without transformer", http.MethodPost, "/v1/evaluate",
 			`{"family":"mp+dp","model":"resnet50","mp":4,"gpus":128,"batch":128}`, http.StatusBadRequest},
 		{"zero gpus", http.MethodPost, "/v1/evaluate",
