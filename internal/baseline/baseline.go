@@ -12,7 +12,6 @@ import (
 
 	"karma/internal/hw"
 	"karma/internal/karma"
-	"karma/internal/layer"
 	"karma/internal/plan"
 	"karma/internal/profiler"
 	"karma/internal/sim"
@@ -125,7 +124,7 @@ func runInCore(p *profiler.Profile) (*Result, error) {
 	if err != nil {
 		return infeasible(InCore, err.Error()), nil
 	}
-	pl := &plan.Plan{Name: "in-core/" + p.Graph.Name(), NumBlocks: len(p.Blocks)}
+	pl := &plan.Plan{Name: "in-core/" + p.Name, NumBlocks: len(p.Blocks)}
 	for i, b := range p.Blocks {
 		pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
 			Kind: plan.Fwd, Block: i, Duration: b.FwdTime, Alloc: b.ActBytes,
@@ -178,7 +177,7 @@ func runSwapper(p *profiler.Profile, m Method, lookahead int, policy []karma.Pol
 		}
 	}
 
-	pl := &plan.Plan{Name: string(m) + "/" + p.Graph.Name(), NumBlocks: n}
+	pl := &plan.Plan{Name: string(m) + "/" + p.Name, NumBlocks: n}
 	// Forward: F_b plus eager swap-out of the previous block.
 	for b := 0; b < n; b++ {
 		st := plan.Stage{Ops: []plan.Op{{
@@ -257,35 +256,11 @@ func runSuperNeurons(p *profiler.Profile) (*Result, error) {
 		return infeasible(SuperNeurons, err.Error()), nil
 	}
 	n := len(p.Blocks)
-	rate := p.Node.Device.SustainedFLOPS()
 	swapBW := hw.SwapThroughput(p.Node)
-	batch := int64(p.Opts.Batch)
-	elem := int64(4)
 
-	// Per block: bytes of heavy-layer outputs (swapped) and the forward
-	// cost of the cheap layers (recomputed).
-	swapBytes := make([]unit.Bytes, n)
-	cheapTime := make([]unit.Seconds, n)
-	for i, b := range p.Blocks {
-		var heavyElems int64
-		var cheapFLOPs int64
-		for _, id := range b.Seg.Nodes {
-			node := p.Graph.Node(id)
-			switch node.L.(type) {
-			case *layer.Conv2D, *layer.Deconv2D, *layer.Dense,
-				*layer.SelfAttention, *layer.LSTM, *layer.Embedding:
-				heavyElems += node.OutShape.Elems()
-			default:
-				cheapFLOPs += node.FwdFLOPs
-			}
-		}
-		sb := unit.Bytes(float64(heavyElems*elem*batch) * p.Opts.ActOverhead)
-		if sb > b.ActBytes {
-			sb = b.ActBytes
-		}
-		swapBytes[i] = sb
-		cheapTime[i] = unit.ComputeTime(unit.FLOPs(cheapFLOPs*batch), rate)
-	}
+	// Per block: the heavy-layer outputs swap (HeavyActBytes) and every
+	// other layer's forward recomputes (TypeCheapFwdTime).
+	swapBytes := func(b int) unit.Bytes { return p.Blocks[b].HeavyActBytes }
 	for i := 0; i < n; i++ {
 		need := p.Blocks[i].ActBytes
 		if i+1 < n {
@@ -296,9 +271,9 @@ func runSuperNeurons(p *profiler.Profile) (*Result, error) {
 		}
 	}
 
-	pl := &plan.Plan{Name: "superneurons/" + p.Graph.Name(), NumBlocks: n}
+	pl := &plan.Plan{Name: "superneurons/" + p.Name, NumBlocks: n}
 	move := func(b int) unit.Seconds {
-		return unit.TransferTime(swapBytes[b], swapBW, p.Node.Link.Latency)
+		return unit.TransferTime(swapBytes(b), swapBW, p.Node.Link.Latency)
 	}
 	// Forward: eager treatment after each block — heavy outputs swap out,
 	// the remainder drops for recompute.
@@ -323,16 +298,16 @@ func runSuperNeurons(p *profiler.Profile) (*Result, error) {
 	// recompute in line, like the SuperNeurons runtime.
 	swapIn := func(b int) plan.Op {
 		return plan.Op{
-			Kind: plan.SwapIn, Block: b, Duration: move(b), Alloc: swapBytes[b],
+			Kind: plan.SwapIn, Block: b, Duration: move(b), Alloc: swapBytes(b),
 		}
 	}
 	pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{swapIn(n - 1)}})
 	for b := n - 1; b >= 0; b-- {
-		if cheapTime[b] > 0 || p.Blocks[b].ActBytes > swapBytes[b] {
+		if cheap := p.Blocks[b].TypeCheapFwdTime; cheap > 0 || p.Blocks[b].ActBytes > swapBytes(b) {
 			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
 				Kind: plan.Recompute, Block: b,
-				Duration: cheapTime[b],
-				Alloc:    p.Blocks[b].ActBytes - swapBytes[b],
+				Duration: cheap,
+				Alloc:    p.Blocks[b].ActBytes - swapBytes(b),
 			}}})
 		}
 		st := plan.Stage{Ops: []plan.Op{{
@@ -536,7 +511,7 @@ func recomputeWithSegments(p *profiler.Profile, m Method, k int, budget unit.Byt
 		return s
 	}
 
-	pl := &plan.Plan{Name: fmt.Sprintf("%s-k%d/%s", m, k, p.Graph.Name()), NumBlocks: n}
+	pl := &plan.Plan{Name: fmt.Sprintf("%s-k%d/%s", m, k, p.Name), NumBlocks: n}
 	// Forward: segment acts live until the next segment's first forward.
 	for si, r := range rs {
 		for b := r[0]; b < r[1]; b++ {

@@ -21,7 +21,7 @@ type dispatchCase struct {
 }
 
 // dispatchCases covers every family, plus the data-parallel families'
-// Graph-less form that builds Transformer through the graph cache.
+// Graph-less form that profiles Transformer by value.
 func dispatchCases() []dispatchCase {
 	cl := hw.ABCI()
 	lm := smallLM()
@@ -142,11 +142,11 @@ func TestExportMatchesEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pe.profile(g, small.Node, 8, tensor.FP32)
+	sp, err := cachedProfile(profileKey{src: modelSrc{g: g}, node: small.Node, batch: 8, dt: tensor.FP32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := pe.search(p, 1)
+	s, err := pe.search(sp.p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@
 //     the schedule out, so swap, recompute, checkpoint-replay and
 //     collective stalls interact per block exactly as in Fig. 3. Use it
 //     when fidelity matters (calibration, headline ratios); profiles and
-//     shard builds are cached so sweeps stay tractable.
+//     schedules are cached so sweeps stay tractable.
 //
 // The two backends diverge only in timing fidelity, never on "does it
 // fit": they share one feasibility path (the KARMA precheck, and
@@ -381,29 +381,50 @@ func gradExchangeTimes(grads unit.Bytes, cl hw.Cluster, gpus int, window unit.Se
 // phases, and the weight update runs host-side (Fig. 3). The global
 // mini-batch is gpus x perReplicaBatch.
 func KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("dist: nil graph")
-	}
-	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
-		return nil, err
-	}
-	global := gpus * perReplicaBatch
-	if total := cl.TotalDevices(); gpus > total {
-		return infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
-	}
-	p, err := profiler.New(g, cl.Node, profiler.Options{Batch: perReplicaBatch, DType: o.Precision.DType()})
+	src, err := graphSrc(g)
 	if err != nil {
 		return nil, err
 	}
+	return karmaDataParallel(src, cl, gpus, perReplicaBatch, samples, o)
+}
+
+// karmaDataParallel is KARMADataParallel on a model source.
+func karmaDataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
+	p, bad, err := replicaSetup(src, cl, gpus, perReplicaBatch, samples, o.Precision.DType())
+	if err != nil || bad != nil {
+		return bad, err
+	}
+	return karmaClosedForm(p, cl, gpus, perReplicaBatch, samples, o), nil
+}
+
+// replicaSetup validates the argument set of the data-parallel families
+// (KARMA and conventional, both backends) and returns the per-replica
+// profile from the shared cache, or a non-nil Result when the cluster
+// is too small.
+func replicaSetup(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int, dt tensor.DType) (*profiler.Profile, *Result, error) {
+	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
+		return nil, nil, err
+	}
+	if total := cl.TotalDevices(); gpus > total {
+		return nil, infeasible(gpus, gpus*perReplicaBatch, "cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
+	}
+	sp, err := cachedProfile(profileKey{src: src, node: cl.Node, batch: perReplicaBatch, dt: dt})
+	return sp.p, nil, err
+}
+
+// karmaClosedForm is the analytic KARMA data-parallel verdict on the
+// replica profile.
+func karmaClosedForm(p *profiler.Profile, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) *Result {
+	global := gpus * perReplicaBatch
 	rc, reason := karmaReplica(p, cl, gpus, o)
 	if rc == nil {
-		return infeasible(gpus, global, "%s", reason), nil
+		return infeasible(gpus, global, "%s", reason)
 	}
 	exTotal, exStall := gradExchangeTimes(p.TotalWeightBytes, cl, gpus, rc.bwd)
 	iter := rc.iter() + exStall
 	r := finalize(iter, gpus, global, samples)
 	r.Breakdown = rc.breakdown(exTotal, exStall, iter)
-	return r, nil
+	return r
 }
 
 // DataParallel evaluates conventional in-core data parallelism: gpus
@@ -412,20 +433,20 @@ func KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, sam
 // working set exceeds device memory are infeasible — the regime KARMA
 // (and the MP hybrid) exist for.
 func DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("dist: nil graph")
-	}
-	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
-		return nil, err
-	}
-	global := gpus * perReplicaBatch
-	if total := cl.TotalDevices(); gpus > total {
-		return infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
-	}
-	p, err := profiler.New(g, cl.Node, profiler.Options{Batch: perReplicaBatch})
+	src, err := graphSrc(g)
 	if err != nil {
 		return nil, err
 	}
+	return dataParallel(src, cl, gpus, perReplicaBatch, samples)
+}
+
+// dataParallel is DataParallel on a model source.
+func dataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
+	p, bad, err := replicaSetup(src, cl, gpus, perReplicaBatch, samples, tensor.FP32)
+	if err != nil || bad != nil {
+		return bad, err
+	}
+	global := gpus * perReplicaBatch
 	if need, have := p.InCoreBytes(), budget(cl); need > have {
 		return infeasible(gpus, global,
 			"batch %d needs %v of %v device memory; use KARMADataParallel", perReplicaBatch, need, have), nil

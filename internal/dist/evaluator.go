@@ -44,6 +44,12 @@ type Evaluator interface {
 	// replicas, `micro` micro-batches filling and draining the pipeline
 	// per iteration.
 	Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*Result, error)
+
+	// karmaDataParallel and dataParallel are KARMADataParallel and
+	// DataParallel on a model source: Evaluate reaches a Config without
+	// a Graph through them, so its Transformer is profiled by value.
+	karmaDataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error)
+	dataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error)
 }
 
 // Analytic is the closed-form backend: every method delegates to the
@@ -79,6 +85,14 @@ func (Analytic) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpu
 	return Pipeline(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
 }
 
+func (Analytic) karmaDataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
+	return karmaDataParallel(src, cl, gpus, perReplicaBatch, samples, o)
+}
+
+func (Analytic) dataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
+	return dataParallel(src, cl, gpus, perReplicaBatch, samples)
+}
+
 // Families lists the parallelism families a Config selects, by their
 // karma-serve wire names.
 func Families() []string { return []string{"karma-dp", "dp", "mp+dp", "zero", "pipeline"} }
@@ -88,9 +102,9 @@ func Families() []string { return []string{"karma-dp", "dp", "mp+dp", "zero", "p
 // method. Fields the family does not take are ignored.
 type Config struct {
 	Family string
-	// Graph is the karma-dp and dp model; when nil they build
-	// Transformer through CachedTransformer. Transformer is the model of
-	// the other families.
+	// Graph is the karma-dp and dp model; when nil they profile
+	// Transformer by value, building no graph a cache keeps. Transformer
+	// is the model of the other families.
 	Graph                *graph.Graph
 	Transformer          model.TransformerConfig
 	Cluster              hw.Cluster
@@ -101,33 +115,33 @@ type Config struct {
 	Hybrid               HybridOptions
 }
 
-// graph returns the data-parallel families' model: Graph, or the cached
-// build of a valid Transformer.
-func (c Config) graph() (*graph.Graph, error) {
+// source returns the data-parallel families' model: Graph, or a valid
+// Transformer's full model.
+func (c Config) source() (modelSrc, error) {
 	if c.Graph != nil {
-		return c.Graph, nil
+		return modelSrc{g: c.Graph}, nil
 	}
 	if err := validateTransformer(c.Transformer); err != nil {
-		return nil, err
+		return modelSrc{}, err
 	}
-	return CachedTransformer(c.Transformer), nil
+	return modelSrc{cfg: c.Transformer}, nil
 }
 
 // Evaluate evaluates c with ev through the family's Evaluator method.
 func Evaluate(ev Evaluator, c Config) (*Result, error) {
 	switch c.Family {
 	case "karma-dp":
-		g, err := c.graph()
+		src, err := c.source()
 		if err != nil {
 			return nil, err
 		}
-		return ev.KARMADataParallel(g, c.Cluster, c.GPUs, c.Batch, c.Samples, c.KARMA)
+		return ev.karmaDataParallel(src, c.Cluster, c.GPUs, c.Batch, c.Samples, c.KARMA)
 	case "dp":
-		g, err := c.graph()
+		src, err := c.source()
 		if err != nil {
 			return nil, err
 		}
-		return ev.DataParallel(g, c.Cluster, c.GPUs, c.Batch, c.Samples)
+		return ev.dataParallel(src, c.Cluster, c.GPUs, c.Batch, c.Samples)
 	case "mp+dp":
 		return ev.MegatronHybrid(c.Transformer, c.Cluster, c.MP, c.GPUs, c.Batch, c.Samples, c.Hybrid)
 	case "zero":

@@ -55,11 +55,11 @@ func (ex *PlanExport) finish(r *Result, err error) (*PlanExport, error) {
 func (pe *Planned) Export(c Config) (*PlanExport, error) {
 	switch c.Family {
 	case "karma-dp":
-		g, err := c.graph()
+		src, err := c.source()
 		if err != nil {
 			return nil, err
 		}
-		return pe.ExportKARMA(g, c.Cluster, c.GPUs, c.Batch, c.Samples, c.KARMA)
+		return pe.exportKARMA(src, c.Cluster, c.GPUs, c.Batch, c.Samples, c.KARMA)
 	case "mp+dp", "zero":
 		return pe.ExportHybrid(c.Transformer, c.Cluster, c.MP, c.GPUs, c.Batch, c.Samples, c.Family == "zero", c.Hybrid)
 	case "pipeline":
@@ -78,8 +78,17 @@ func (pe *Planned) Export(c Config) (*PlanExport, error) {
 // That timeline is longer than IterTime: a few percent on the large
 // CNNs, more on small or exchange-bound graphs (see README).
 func (pe *Planned) ExportKARMA(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*PlanExport, error) {
+	src, err := graphSrc(g)
+	if err != nil {
+		return nil, err
+	}
+	return pe.exportKARMA(src, cl, gpus, perReplicaBatch, samples, o)
+}
+
+// exportKARMA is ExportKARMA on a model source.
+func (pe *Planned) exportKARMA(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*PlanExport, error) {
 	ex := new(PlanExport)
-	return ex.finish(pe.karma(g, cl, gpus, perReplicaBatch, samples, o, ex))
+	return ex.finish(pe.karma(src, cl, gpus, perReplicaBatch, samples, o, ex))
 }
 
 // ExportHybrid evaluates one per-layer simulated MP+DP (or, with zero,

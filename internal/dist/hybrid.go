@@ -71,22 +71,22 @@ func nodeShareBW(cl hw.Cluster) unit.BytesPerSec {
 // 1/mp shard (model.TransformerShard), and builds the shard's in-core
 // schedule — all-resident, or checkpointed under o.Checkpoint. Both
 // evaluator backends go through it — so feasibility verdicts agree by
-// construction — and both draw the shard build, profile and schedule
-// from the process-wide memo caches (memo.go): grid points sharing
+// construction — and both draw the shard profile and schedule from the
+// process-wide memo caches (memo.go): grid points sharing
 // (model, mp, batch, precision) profile and partition the shard exactly
 // once, concurrent sweep workers included. A non-nil Result reports an
 // infeasible configuration. With zero set, gradient and optimizer state
 // additionally shard across the data-parallel replicas — ZeRO's
 // defining memory property.
-func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (*model.Shard, *profiler.Profile, *karma.Schedule, *Result, error) {
+func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (profiled, *karma.Schedule, *Result, error) {
 	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
-		return nil, nil, nil, nil, err
+		return profiled{}, nil, nil, err
 	}
 	if mp <= 0 {
-		return nil, nil, nil, nil, fmt.Errorf("dist: model-parallel factor must be positive, got %d", mp)
+		return profiled{}, nil, nil, fmt.Errorf("dist: model-parallel factor must be positive, got %d", mp)
 	}
 	if err := validateTransformer(cfg); err != nil {
-		return nil, nil, nil, nil, err
+		return profiled{}, nil, nil, err
 	}
 	replicas := gpus / mp
 	global := replicas * perReplicaBatch
@@ -98,22 +98,22 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 		return r
 	}
 	if gpus%mp != 0 || replicas < 1 {
-		return nil, nil, nil, bad("%d GPUs do not divide into MP groups of %d", gpus, mp), nil
+		return profiled{}, nil, bad("%d GPUs do not divide into MP groups of %d", gpus, mp), nil
 	}
 	if total := cl.TotalDevices(); gpus > total {
-		return nil, nil, nil, bad("cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
+		return profiled{}, nil, bad("cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
 	}
-	shard := cachedShard(cfg, mp)
-	pk := shardProfileKey{
-		mk:    modelKey{cfg: cfg, mp: mp},
+	pk := profileKey{
+		src:   modelSrc{cfg: cfg, mp: mp},
 		node:  cl.Node,
 		batch: perReplicaBatch,
 		dt:    o.Precision.DType(),
 	}
-	p, err := cachedProfile(pk)
+	sp, err := cachedProfile(pk)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return profiled{}, nil, nil, err
 	}
+	p := sp.p
 	// Each GPU keeps its shard's weights and gradients resident (fp16
 	// under mixed precision), plus the optimizer's fp32 master copy;
 	// under ZeRO the gradient+optimizer shard further divides across the
@@ -140,11 +140,11 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 		if o.Checkpoint {
 			actNeed = cachedFootprint(pk, p)
 		}
-		return nil, nil, nil, bad(
+		return profiled{}, nil, bad(
 			"MP=%d shard needs %v of %v device memory; increase the MP factor or go out-of-core",
 			mp, weights+grads+master+actNeed, m), nil
 	}
-	return shard, p, s, nil, nil
+	return sp, s, nil, nil
 }
 
 // arCounts maps the shard's marked collectives onto the profile's
@@ -211,7 +211,8 @@ func (c hybridCost) breakdown() *Breakdown {
 // divides the update work, splits the exchange into a backward
 // reduce-scatter and a forward-overlapped parameter all-gather, and is
 // always phased.
-func megatronCost(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) hybridCost {
+func megatronCost(cfg model.TransformerConfig, sp profiled, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) hybridCost {
+	p := sp.p
 	fwd, bwd, updateFLOPs := p.Totals()
 	rec := s.RecomputedTime()
 	gpus := mp * replicas
@@ -221,7 +222,7 @@ func megatronCost(cfg model.TransformerConfig, shard *model.Shard, p *profiler.P
 	// forward and backward, and the interior boundaries of multi-block
 	// checkpoint runs reduce again during their replay.
 	perAR := comm.HierarchicalAllReduce(mpARPayload(cfg, p), cl, mp, backend)
-	fwdAR, bwdAR := arCounts(shard, p)
+	fwdAR, bwdAR := sp.fwdAR, sp.bwdAR
 	var fwdART, bwdART, replayART unit.Seconds
 	for i := range p.Blocks {
 		fwdART += unit.Seconds(float64(fwdAR[i]) * float64(perAR))
@@ -327,12 +328,12 @@ func megatronCost(cfg model.TransformerConfig, shard *model.Shard, p *profiler.P
 // exchange — the configuration of Fig. 8's "MP+DP" versus "MP+DP
 // opt-ex" curves — and activation checkpointing in the shard.
 func MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, false, o)
+	sp, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, false, o)
 	if err != nil || bad != nil {
 		return bad, err
 	}
 	replicas := gpus / mp
-	c := megatronCost(cfg, shard, p, s, cl, mp, replicas, false, o)
+	c := megatronCost(cfg, sp, s, cl, mp, replicas, false, o)
 	r := finalize(c.iter(), gpus, replicas*perReplicaBatch, samples)
 	r.Ckpt = o.Checkpoint
 	r.Breakdown = c.breakdown()
@@ -349,12 +350,12 @@ func MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perRep
 // o.Checkpoint enables the activation checkpointing real ZeRO
 // deployments run with.
 func ZeRO(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, true, o)
+	sp, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, true, o)
 	if err != nil || bad != nil {
 		return bad, err
 	}
 	replicas := gpus / mp
-	c := megatronCost(cfg, shard, p, s, cl, mp, replicas, true, o)
+	c := megatronCost(cfg, sp, s, cl, mp, replicas, true, o)
 	r := finalize(c.iter(), gpus, replicas*perReplicaBatch, samples)
 	r.Ckpt = o.Checkpoint
 	r.Breakdown = c.breakdown()

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+
 	"karma/internal/flight"
 	"karma/internal/graph"
 	"karma/internal/hw"
@@ -29,57 +31,80 @@ func must[V any](v V, err error) V {
 }
 
 // SharedCacheStats sums the process-wide evaluator caches both backends
-// share (graph/shard builds, shard profiles, schedules, footprints).
+// share (graph builds, profiles, shard schedules, footprints).
 func SharedCacheStats() flight.Stats {
-	return flight.Sum(sharedGraphs.Stats(), sharedShards.Stats(), sharedProfiles.Stats(),
-		sharedScheds.Stats(), sharedFootprint.Stats())
+	return flight.Sum(sharedGraphs.Stats(), sharedProfiles.Stats(), sharedScheds.Stats(), sharedFootprint.Stats())
 }
 
-// CacheStats sums the planner-backed evaluator's instance caches (KARMA
-// replica profiles and partition searches).
+// CacheStats reports the planner-backed evaluator's instance cache: the
+// KARMA replica partition searches.
 func (p *Planned) CacheStats() flight.Stats {
-	return flight.Sum(p.profiles.Stats(), p.schedules.Stats())
+	return p.schedules.Stats()
 }
 
 // ---------------------------------------------------------------------------
 // Cross-grid memoization shared by both evaluator backends
 // ---------------------------------------------------------------------------
 //
-// The hybrid and pipeline setup paths (hybridSetup, pipelineSetup) are
-// pure functions of value-typed inputs: a transformer config, an MP
-// degree, a node spec, a batch, a dtype, a byte budget. Dense sweeps
-// hit the same (model, mp, precision) shard from many grid points —
-// every GPU count of a Fig. 8 row, both exchange variants of the MP+DP
-// curve, every topology of the sensitivity ladder — so the builds,
-// profiles, in-core/checkpointed schedules and footprints are memoized
-// process-wide, keyed by value (no caller pointers are retained). Both
-// backends share these caches: the planned path re-simulates each
-// configuration's exchange composition, but never re-profiles or
-// re-partitions a shard shape the analytic path already solved.
+// Every evaluation reads its model through a profile (paper Fig. 1 steps
+// 1-2): blocking, recompute, the plan and the simulator all cost the
+// per-block table, never the graph. So the profile is the unit the memos
+// keep. One process-wide cache holds every profile, keyed by value; a
+// miss builds the graph, profiles it and drops it, keeping only the
+// profile (and, for an MP shard, where its collectives fall). Dense
+// sweeps hit the same (model, mp, precision) profile from many grid
+// points — every GPU count of a Fig. 8 row, both exchange variants of
+// the MP+DP curve, every topology of the sensitivity ladder — so the
+// profiles, the shards' in-core/checkpointed schedules and their
+// footprints are memoized process-wide. Both backends share these
+// caches: the planned path re-simulates each configuration's exchange
+// composition, but never re-profiles or re-partitions a shard shape the
+// analytic path already solved.
 
-// modelKey identifies a (possibly MP-sharded) transformer build: mp >=
-// 1 selects the mp-way tensor-parallel shard build (the hybrids always
-// profile the shard graph, degree 1 included, so collective markers are
-// present), mp == 0 the plain full-model build the pipeline baseline
-// partitions.
-type modelKey struct {
+// modelSrc is the model a profile derives from. A non-nil g is a
+// caller's graph (registry and ad-hoc models), keyed by pointer: build
+// it through CachedModel or CachedTransformer so equal models are one
+// pointer. Otherwise the transformer cfg is built on a profile miss: its
+// mp-way tensor-parallel shard for mp >= 1 (the hybrids always profile
+// the shard, degree 1 included, so collective markers are present), the
+// full model for mp == 0 (the data-parallel families, and the pipeline
+// baseline, which partitions the unsharded transformer).
+type modelSrc struct {
+	g   *graph.Graph
 	cfg model.TransformerConfig
 	mp  int
 }
 
-// shardProfileKey identifies a shard profile: the build plus the
-// profiling batch, node and dtype.
-type shardProfileKey struct {
-	mk    modelKey
+// graphSrc is the model source of a caller's graph.
+func graphSrc(g *graph.Graph) (modelSrc, error) {
+	if g == nil {
+		return modelSrc{}, fmt.Errorf("dist: nil graph")
+	}
+	return modelSrc{g: g}, nil
+}
+
+// profileKey identifies a profile: its model plus the node, profiling
+// batch and dtype.
+type profileKey struct {
+	src   modelSrc
 	node  hw.Node
 	batch int
 	dt    tensor.DType
 }
 
+// profiled is a profile cache entry: the per-block cost table and, for
+// an MP shard, the per-block counts of the partial-sum all-reduces its
+// forward and backward passes end with (arCounts) — all an evaluation
+// reads of the graph the profile was built from.
+type profiled struct {
+	p            *profiler.Profile
+	fwdAR, bwdAR []int
+}
+
 // shardSchedKey identifies an in-core or checkpointed schedule of a
 // shard profile under an activation budget.
 type shardSchedKey struct {
-	pk     shardProfileKey
+	pk     profileKey
 	budget unit.Bytes
 	ckpt   bool
 }
@@ -93,18 +118,16 @@ type graphKey struct {
 
 var (
 	sharedGraphs    = flight.New[graphKey, *graph.Graph](memoLimit)
-	sharedShards    = flight.New[modelKey, *model.Shard](memoLimit)
-	sharedProfiles  = flight.New[shardProfileKey, *profiler.Profile](memoLimit)
+	sharedProfiles  = flight.New[profileKey, profiled](memoLimit)
 	sharedScheds    = flight.New[shardSchedKey, *karma.Schedule](memoLimit)
-	sharedFootprint = flight.New[shardProfileKey, unit.Bytes](memoLimit)
+	sharedFootprint = flight.New[profileKey, unit.Bytes](memoLimit)
 )
 
 // CachedTransformer returns the process-wide cached full-model build for
-// cfg. Every caller that builds a transformer graph — the experiment
-// panels, the trace exporter, karma-serve — goes through this cache, so
-// equal configurations are one *graph.Graph, and the planner-backed
-// evaluator's pointer-keyed caches hit across callers instead of
-// growing.
+// cfg, for callers that need the graph itself (the single-GPU planner,
+// the trace exporter). Equal configurations are one *graph.Graph, so
+// profiles keyed by that pointer hit across callers. Evaluations need no
+// graph: a Config naming its Transformer profiles it by value.
 func CachedTransformer(cfg model.TransformerConfig) *graph.Graph {
 	return must(sharedGraphs.Do(graphKey{cfg: cfg}, func() (*graph.Graph, error) {
 		return model.Transformer(cfg), nil
@@ -119,27 +142,39 @@ func CachedModel(name string) (*graph.Graph, error) {
 	})
 }
 
-// cachedShard returns the memoized 1/mp tensor-parallel shard build.
-func cachedShard(cfg model.TransformerConfig, mp int) *model.Shard {
-	return must(sharedShards.Do(modelKey{cfg: cfg, mp: mp}, func() (*model.Shard, error) {
-		return model.TransformerShard(cfg, mp), nil
-	}))
-}
+// buildHook, when set, receives every graph a profile miss builds and
+// whether it is an MP shard. It exists only so tests can check which
+// graphs evaluations build and that none outlives its profile; nothing
+// outside the tests sets it.
+var buildHook func(g *graph.Graph, shard bool)
 
-// cachedProfile returns the memoized profile for a model key: the
-// mp-way shard build for mp >= 1, the full model for mp == 0 (the
-// pipeline baseline partitions the unsharded transformer). Only the
-// selected graph is built, so the hybrids never build or retain a
-// full-model graph they do not read.
-func cachedProfile(k shardProfileKey) (*profiler.Profile, error) {
-	return sharedProfiles.Do(k, func() (*profiler.Profile, error) {
-		var g *graph.Graph
-		if k.mk.mp >= 1 {
-			g = cachedShard(k.mk.cfg, k.mk.mp).Graph
-		} else {
-			g = CachedTransformer(k.mk.cfg)
+// cachedProfile returns the memoized profile for k. A miss on a
+// transformer source builds only the graph k selects and drops it once
+// profiled, so no cache entry retains a graph it did not receive.
+func cachedProfile(k profileKey) (profiled, error) {
+	return sharedProfiles.Do(k, func() (profiled, error) {
+		g := k.src.g
+		var sh *model.Shard
+		if g == nil {
+			if k.src.mp >= 1 {
+				sh = model.TransformerShard(k.src.cfg, k.src.mp)
+				g = sh.Graph
+			} else {
+				g = model.Transformer(k.src.cfg)
+			}
+			if buildHook != nil {
+				buildHook(g, sh != nil)
+			}
 		}
-		return profiler.New(g, k.node, profiler.Options{Batch: k.batch, DType: k.dt})
+		p, err := profiler.New(g, k.node, profiler.Options{Batch: k.batch, DType: k.dt})
+		if err != nil {
+			return profiled{}, err
+		}
+		out := profiled{p: p}
+		if sh != nil {
+			out.fwdAR, out.bwdAR = arCounts(sh, p)
+		}
+		return out, nil
 	})
 }
 
@@ -174,7 +209,7 @@ func cachedSchedule(k shardSchedKey, p *profiler.Profile) *karma.Schedule {
 // footprint of the profile (karma.CheckpointFootprint scans every run
 // count; infeasible sweep cells would otherwise pay that scan per grid
 // point).
-func cachedFootprint(k shardProfileKey, p *profiler.Profile) unit.Bytes {
+func cachedFootprint(k profileKey, p *profiler.Profile) unit.Bytes {
 	return must(sharedFootprint.Do(k, func() (unit.Bytes, error) {
 		return karma.CheckpointFootprint(p), nil
 	}))

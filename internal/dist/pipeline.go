@@ -125,8 +125,8 @@ func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, per
 	if perReplicaBatch%micro != 0 {
 		return nil, nil, bad("%d micro-batches do not divide the per-replica batch %d", micro, perReplicaBatch), nil
 	}
-	p, err := cachedProfile(shardProfileKey{
-		mk:    modelKey{cfg: cfg},
+	sp, err := cachedProfile(profileKey{
+		src:   modelSrc{cfg: cfg},
 		node:  cl.Node,
 		batch: perReplicaBatch / micro,
 		dt:    o.Precision.DType(),
@@ -134,6 +134,7 @@ func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, per
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	p := sp.p
 	if stages > len(p.Blocks) {
 		return nil, nil, bad("model %s has %d blocks; cannot form %d pipeline stages", cfg.Name, len(p.Blocks), stages), nil
 	}

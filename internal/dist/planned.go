@@ -15,7 +15,6 @@ import (
 	"karma/internal/plan"
 	"karma/internal/profiler"
 	"karma/internal/sim"
-	"karma/internal/tensor"
 	"karma/internal/unit"
 )
 
@@ -29,22 +28,23 @@ import (
 // as Network-stream ops, so swap and recompute stalls overlap the
 // exchange exactly as in Fig. 3.
 //
-// Planner runs are cached by (graph, node, batch) for profiles and by
-// (profile, planner options) for schedules, so sweeps re-plan each
-// replica shape once and re-simulate only the cheap exchange composition
-// per configuration. Note that under ZeROShard the gradient shard
-// (1/gpus) is part of the replica shape — each GPU count genuinely plans
-// a different footprint — so a ZeRO sweep replans per GPU count by
-// design. Profiles are keyed by graph pointer, so build graphs through
-// the dist graph cache (CachedTransformer, CachedModel): equal
-// configurations are then one pointer and hit across callers.
+// Replica profiles come from the value-keyed profile cache both backends
+// share (memo.go), and partition searches are cached per evaluator by
+// (profile, planner options), so sweeps re-plan each replica shape once
+// and re-simulate only the cheap exchange composition per configuration.
+// Note that under ZeROShard the gradient shard (1/gpus) is part of the
+// replica shape — each GPU count genuinely plans a different footprint —
+// so a ZeRO sweep replans per GPU count by design. A Config naming its
+// Transformer profiles it by value; a caller's graph is keyed by
+// pointer, so build it through CachedModel or CachedTransformer, which
+// make equal models one pointer.
 //
-// Both caches are singleflight LRUs (flight.Cache), so one shared Planned
-// serves a parallel sweep: concurrent grid points that need the same
-// replica profile or partition search block on one computation instead
-// of duplicating or serializing it, and distinct keys plan in parallel.
-// The hybrid and pipeline shard builds/profiles/schedules come from the
-// process-wide caches both backends share (see hybridSetup).
+// The schedule cache is a singleflight LRU (flight.Cache), so one shared
+// Planned serves a parallel sweep: concurrent grid points that need the
+// same partition search block on one computation instead of duplicating
+// or serializing it, and distinct keys plan in parallel. The hybrid and
+// pipeline profiles and shard schedules come from the process-wide
+// caches both backends share (see hybridSetup).
 //
 // The in-core hybrid baselines (MegatronHybrid, ZeRO) run per layer too:
 // the 1/mp shard of model.TransformerShard is profiled, its in-core (or
@@ -59,7 +59,6 @@ import (
 // its "analytic" tag in Result.Backend) rather than diverging on the
 // feasibility verdict.
 type Planned struct {
-	profiles  *flight.Cache[profileKey, *profiler.Profile]
 	schedules *flight.Cache[schedKey, planOutcome]
 
 	// observe, when set, receives the wall-clock duration of each
@@ -96,24 +95,15 @@ func (pe *Planned) timed(phase string, fn func()) {
 	pe.observe(phase, time.Since(start).Seconds())
 }
 
-type profileKey struct {
-	g     *graph.Graph
-	node  hw.Node
-	batch int
-	dt    tensor.DType
-}
-
 type schedKey struct {
 	p    *profiler.Profile
 	opts karma.Options
 }
 
-// NewPlanned returns a planner-backed evaluator with empty caches.
+// NewPlanned returns a planner-backed evaluator with an empty schedule
+// cache.
 func NewPlanned() *Planned {
-	return &Planned{
-		profiles:  flight.New[profileKey, *profiler.Profile](memoLimit),
-		schedules: flight.New[schedKey, planOutcome](memoLimit),
-	}
+	return &Planned{schedules: flight.New[schedKey, planOutcome](memoLimit)}
 }
 
 // errForcedFallback is returned by the simulation paths under the
@@ -122,14 +112,6 @@ var errForcedFallback = fmt.Errorf("dist: simulation disabled (test hook)")
 
 // Name implements Evaluator.
 func (*Planned) Name() string { return "planned" }
-
-// profile returns the cached per-replica profile.
-func (pe *Planned) profile(g *graph.Graph, node hw.Node, batch int, dt tensor.DType) (*profiler.Profile, error) {
-	key := profileKey{g: g, node: node, batch: batch, dt: dt}
-	return pe.profiles.Do(key, func() (*profiler.Profile, error) {
-		return profiler.New(g, node, profiler.Options{Batch: batch, DType: dt})
-	})
-}
 
 // planOutcome is a cached partition-search verdict. karma.Plan is a
 // pure function of (profile, options), so "no feasible schedule" is as
@@ -155,26 +137,28 @@ func (pe *Planned) plan(p *profiler.Profile, opts karma.Options) (*karma.Schedul
 // KARMADataParallel implements Evaluator with the planner-backed replica
 // cost.
 func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
-	return pe.karma(g, cl, gpus, perReplicaBatch, samples, o, nil)
+	src, err := graphSrc(g)
+	if err != nil {
+		return nil, err
+	}
+	return pe.karma(src, cl, gpus, perReplicaBatch, samples, o, nil)
 }
 
-// karma is KARMADataParallel; a non-nil ex keeps the simulated replica
-// plan (see ExportKARMA).
-func (pe *Planned) karma(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions, ex *PlanExport) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("dist: nil graph")
-	}
-	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
+func (pe *Planned) karmaDataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
+	return pe.karma(src, cl, gpus, perReplicaBatch, samples, o, nil)
+}
+
+// karma is KARMADataParallel on a model source; a non-nil ex keeps the
+// simulated replica plan (see ExportKARMA).
+func (pe *Planned) karma(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions, ex *PlanExport) (*Result, error) {
+	p, bad, err := replicaSetup(src, cl, gpus, perReplicaBatch, samples, o.Precision.DType())
+	if err != nil {
 		return nil, err
 	}
 	global := gpus * perReplicaBatch
 	stamp := func(r *Result) *Result { r.Backend = pe.Name(); return r }
-	if total := cl.TotalDevices(); gpus > total {
-		return stamp(infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus)), nil
-	}
-	p, err := pe.profile(g, cl.Node, perReplicaBatch, o.Precision.DType())
-	if err != nil {
-		return nil, err
+	if bad != nil {
+		return stamp(bad), nil
 	}
 	m := budget(cl)
 	if mb := maxBlockBytes(p); mb > m {
@@ -193,10 +177,7 @@ func (pe *Planned) karma(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, s
 		// Fully in-core the planner degenerates to conventional data
 		// parallelism and the closed form is exact; both backends agree
 		// bit-for-bit here by construction.
-		r, err := KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
-		if err != nil {
-			return nil, err
-		}
+		r := karmaClosedForm(p, cl, gpus, perReplicaBatch, samples, o)
 		if ex != nil {
 			// The closed form has no schedule: export the partition
 			// search's instead (see ExportKARMA).
@@ -213,12 +194,8 @@ func (pe *Planned) karma(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, s
 		}
 		// The search found no simulable schedule for a configuration the
 		// shared precheck deems feasible: keep the feasibility verdict
-		// aligned and fall back to the closed form.
-		r, ferr := KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
-		if r != nil {
-			r.Backend = "analytic"
-		}
-		return r, ferr
+		// aligned and fall back to the closed form (tagged "analytic").
+		return karmaClosedForm(p, cl, gpus, perReplicaBatch, samples, o), nil
 	}
 	r := finalize(iter, gpus, global, samples)
 	r.Breakdown = bd
@@ -414,6 +391,10 @@ func injectExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, gpus int) {
 // closed form is exact and the result keeps its "analytic" tag.
 func (pe *Planned) DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
 	return DataParallel(g, cl, gpus, perReplicaBatch, samples)
+}
+
+func (pe *Planned) dataParallel(src modelSrc, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
+	return dataParallel(src, cl, gpus, perReplicaBatch, samples)
 }
 
 // MegatronHybrid implements Evaluator with the per-layer simulated shard

@@ -9,7 +9,6 @@ import (
 	"karma/internal/karma"
 	"karma/internal/model"
 	"karma/internal/plan"
-	"karma/internal/profiler"
 	"karma/internal/sim"
 	"karma/internal/unit"
 )
@@ -25,7 +24,7 @@ import (
 // phase algebra).
 
 // hybrid evaluates one MP+DP (or ZeRO) configuration through the shared
-// setup (whose shard builds, profiles and schedules come from the
+// setup (whose shard profiles and schedules come from the
 // process-wide memo caches) and the per-layer simulation; a simulator
 // failure on a configuration the shared precheck deems feasible falls
 // back to the analytic closed form (the result keeps its "analytic"
@@ -33,7 +32,7 @@ import (
 // and simulates on fresh scratch, since a kept plan, compilation or
 // timeline must never alias the pooled buffers.
 func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions, ex *PlanExport) (*Result, error) {
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o)
+	sp, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o)
 	if err != nil {
 		return nil, err
 	}
@@ -54,12 +53,12 @@ func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, 
 		sc = hybridScratchPool.Get().(*hybridScratch)
 		defer hybridScratchPool.Put(sc)
 	}
-	iter, bd, err := pe.hybridIter(cfg, shard, p, s, cl, mp, replicas, zero, o, sc, ex)
+	iter, bd, err := pe.hybridIter(cfg, sp, s, cl, mp, replicas, zero, o, sc, ex)
 	if err != nil {
 		if ex != nil {
 			return nil, err // an export has no plan to keep
 		}
-		c := megatronCost(cfg, shard, p, s, cl, mp, replicas, zero, o)
+		c := megatronCost(cfg, sp, s, cl, mp, replicas, zero, o)
 		res := r(c.iter()) // Backend stays "analytic": explicit fallback
 		res.Breakdown = c.breakdown()
 		return res, nil
@@ -76,7 +75,7 @@ func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, 
 // non-nil. The breakdown derives from the simulated timeline; the update
 // is a scheduled op here, so no supplement is needed and the components
 // sum to the makespan by construction.
-func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions, sc *hybridScratch, ex *PlanExport) (unit.Seconds, *Breakdown, error) {
+func (pe *Planned) hybridIter(cfg model.TransformerConfig, sp profiled, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions, sc *hybridScratch, ex *PlanExport) (unit.Seconds, *Breakdown, error) {
 	if pe.failSim {
 		return 0, nil, errForcedFallback
 	}
@@ -91,7 +90,7 @@ func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p
 		// unblocks, the priority a real implementation gives the
 		// collective the next layer's compute is stalled on.
 		injectHybridExchange(pl, s, cl, replicas, mp*replicas, zero, o, &sc.ex)
-		injectMPCollectives(pl, s, shard, p, cfg, cl, mp, replicas, &sc.mp)
+		injectMPCollectives(pl, s, sp, cfg, cl, mp, replicas, &sc.mp)
 		appendHybridUpdate(pl, s, cl, zero, replicas)
 	})
 	if err != nil {
@@ -170,12 +169,12 @@ func (a *stageArena) one(op plan.Op) {
 // may start. MP groups packed inside one node collect over NVLink
 // (plan.MPAllReduceLocal) and leave the network stream to the exchange;
 // groups spanning nodes contend with it (plan.MPAllReduce).
-func injectMPCollectives(pl *plan.Plan, s *karma.Schedule, shard *model.Shard, p *profiler.Profile, cfg model.TransformerConfig, cl hw.Cluster, mp, replicas int, arena *stageArena) {
+func injectMPCollectives(pl *plan.Plan, s *karma.Schedule, sp profiled, cfg model.TransformerConfig, cl hw.Cluster, mp, replicas int, arena *stageArena) {
 	if mp <= 1 {
 		return
 	}
 	backend := comm.Pick(mp * replicas)
-	perAR := comm.HierarchicalAllReduce(mpARPayload(cfg, p), cl, mp, backend)
+	perAR := comm.HierarchicalAllReduce(mpARPayload(cfg, sp.p), cl, mp, backend)
 	if perAR <= 0 {
 		return
 	}
@@ -189,7 +188,7 @@ func injectMPCollectives(pl *plan.Plan, s *karma.Schedule, shard *model.Shard, p
 			Duration: unit.Seconds(float64(n) * float64(perAR)),
 		})
 	}
-	fwdAR, bwdAR := arCounts(shard, p)
+	fwdAR, bwdAR := sp.fwdAR, sp.bwdAR
 	arena.reset()
 	for _, st := range pl.Stages {
 		if len(st.Ops) == 1 && st.Ops[0].Kind == plan.Bwd && bwdAR[st.Ops[0].Block] > 0 {

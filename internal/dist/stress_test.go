@@ -8,7 +8,6 @@ import (
 	"karma/internal/flight"
 	"karma/internal/hw"
 	"karma/internal/model"
-	"karma/internal/profiler"
 )
 
 // sameResult compares two results by value, following the Breakdown
@@ -91,7 +90,7 @@ func TestPlannedConcurrentStress(t *testing.T) {
 				return
 			}
 			// Overlapping again through a different family: the pipeline
-			// path shares the full-model graph cache.
+			// path shares the profile cache.
 			p, err := pe.Pipeline(cfgs[2], cl, 4, 256, 4, 4, samples, HybridOptions{Phased: true, Checkpoint: true})
 			if err != nil {
 				errs[g] = err
@@ -110,14 +109,16 @@ func TestPlannedConcurrentStress(t *testing.T) {
 	}
 
 	// Eviction-pressure pass: the same workload on an evaluator whose
-	// instance memos are bounded far below the working set, so entries
-	// are constantly evicted and recomputed mid-flight. Every cached
-	// computation is a pure function of its key, so churn may cost time
-	// but must never change a value — and under -race this exercises the
-	// LRU surgery concurrently with singleflight joins.
+	// instance memo, and the shared profile cache, are bounded far below
+	// the working set, so entries are constantly evicted and recomputed
+	// mid-flight. Every cached computation is a pure function of its
+	// key, so churn may cost time but must never change a value — and
+	// under -race this exercises the LRU surgery concurrently with
+	// singleflight joins.
 	tiny := NewPlanned()
-	tiny.profiles = flight.New[profileKey, *profiler.Profile](2)
 	tiny.schedules = flight.New[schedKey, planOutcome](2)
+	defer func(c *flight.Cache[profileKey, profiled]) { sharedProfiles = c }(sharedProfiles)
+	sharedProfiles = flight.New[profileKey, profiled](2)
 	var ewg sync.WaitGroup
 	eerrs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {

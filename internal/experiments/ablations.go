@@ -36,7 +36,12 @@ func Ablations(node hw.Node, cl hw.Cluster, ev dist.Evaluator, workers int) ([]A
 	}
 	p256, p384, p512 := profs[0], profs[1], profs[2]
 	cfg := model.MegatronConfigs()[2]
-	g := dist.CachedTransformer(cfg)
+	karmaDP := func(o dist.KARMAOptions) (*dist.Result, error) {
+		return dist.Evaluate(ev, dist.Config{
+			Family: "karma-dp", Transformer: cfg, Cluster: cl,
+			GPUs: 256, Batch: 4, Samples: openWTSamples, KARMA: o,
+		})
+	}
 
 	studies := []func() (*AblationResult, error){
 		func() (*AblationResult, error) {
@@ -96,11 +101,11 @@ func Ablations(node hw.Node, cl hw.Cluster, ev dist.Evaluator, workers int) ([]A
 		},
 		func() (*AblationResult, error) {
 			// A4: CPU-side vs move-back-to-GPU weight update.
-			host, err := ev.KARMADataParallel(g, cl, 256, 4, openWTSamples, dist.KARMAOptions{})
+			host, err := karmaDP(dist.KARMAOptions{})
 			if err != nil {
 				return nil, err
 			}
-			dev, err := ev.KARMADataParallel(g, cl, 256, 4, openWTSamples, dist.KARMAOptions{UpdateOnDevice: true})
+			dev, err := karmaDP(dist.KARMAOptions{UpdateOnDevice: true})
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"karma/internal/dist"
+	"karma/internal/flight"
 	"karma/internal/hw"
 	"karma/internal/model"
 	"karma/internal/tensor"
@@ -189,35 +190,53 @@ func TestTableVCrossover(t *testing.T) {
 	}
 }
 
-// TestRepeatPanelsHitPlannedCaches pins the graph-cache contract: the
-// panels build their graphs through the dist graph cache, so an
-// identical repeat of a panel pass on one planner-backed evaluator finds
-// every profile and partition search cached — no misses, no new
-// entries — instead of filling the pointer-keyed caches with dead
-// copies.
+// TestRepeatPanelsHitPlannedCaches pins the cache contract: the panels
+// name their transformers by value and build registry graphs through
+// the dist graph cache, so an identical repeat of a panel pass on one
+// planner-backed evaluator finds every graph, profile, shard schedule
+// and partition search cached — no misses, no new entries in the shared
+// or the planned caches — instead of filling them with dead copies.
 func TestRepeatPanelsHitPlannedCaches(t *testing.T) {
 	cl := hw.ABCI()
 	pe := dist.NewPlanned()
+	fo := FamilyOptions{Ckpt: true}
 	pass := func() {
-		if _, err := Figure8Megatron(cl, 2, []int{128, 256, 512}, pe, FamilyOptions{Ckpt: true}); err != nil {
+		if _, err := Figure8Megatron(cl, 2, []int{128, 256, 512}, pe, fo); err != nil {
 			t.Fatalf("Figure8Megatron: %v", err)
 		}
-		if _, err := Figure8Turing(cl, []int{512, 1024}, pe, FamilyOptions{Ckpt: true}); err != nil {
+		if _, err := Figure8Turing(cl, []int{512, 1024}, pe, fo); err != nil {
 			t.Fatalf("Figure8Turing: %v", err)
+		}
+		if _, err := TableIV(cl, pe, fo); err != nil {
+			t.Fatalf("TableIV: %v", err)
+		}
+		if _, err := TableV(cl, pe, 0); err != nil {
+			t.Fatalf("TableV: %v", err)
+		}
+		if _, err := TopologySweep(cl, 512, TopoLadder(), pe, fo); err != nil {
+			t.Fatalf("TopologySweep: %v", err)
+		}
+		if _, err := Ablations(hw.ABCINode(), cl, pe, 0); err != nil {
+			t.Fatalf("Ablations: %v", err)
 		}
 	}
 	pass()
-	first := pe.CacheStats()
-	if first.Misses == 0 {
-		t.Fatal("the first pass planned nothing; the test no longer exercises the planned caches")
+	first, firstShared := pe.CacheStats(), dist.SharedCacheStats()
+	if first.Misses == 0 || firstShared.Misses == 0 {
+		t.Fatal("the first pass planned nothing; the test no longer exercises the caches")
 	}
 	pass()
-	second := pe.CacheStats()
-	if d := second.Misses - first.Misses; d != 0 {
-		t.Errorf("repeat pass added %d planned-cache misses, want 0", d)
-	}
-	if d := second.Entries - first.Entries; d != 0 {
-		t.Errorf("repeat pass added %d planned-cache entries, want 0", d)
+	second, secondShared := pe.CacheStats(), dist.SharedCacheStats()
+	for _, c := range []struct {
+		name          string
+		first, second flight.Stats
+	}{{"planned", first, second}, {"shared", firstShared, secondShared}} {
+		if d := c.second.Misses - c.first.Misses; d != 0 {
+			t.Errorf("repeat pass added %d %s-cache misses, want 0", d, c.name)
+		}
+		if d := c.second.Entries - c.first.Entries; d != 0 {
+			t.Errorf("repeat pass added %d %s-cache entries, want 0", d, c.name)
+		}
 	}
 }
 

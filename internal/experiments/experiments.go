@@ -13,7 +13,6 @@ import (
 	"io"
 	"strings"
 
-	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/model"
 	"karma/internal/profiler"
@@ -151,13 +150,4 @@ func ProfileWorkload(w Workload, node hw.Node, batch int) (*profiler.Profile, er
 	return profiler.New(g, node, profiler.Options{
 		Batch: batch, MaxOpen: w.MaxOpen, ActOverhead: f,
 	})
-}
-
-// buildGraph is a helper shared by the multi-node experiments.
-func buildGraph(name string) *graph.Graph {
-	g, err := model.Build(name)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }

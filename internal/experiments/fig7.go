@@ -62,13 +62,11 @@ func (r *Fig7Result) Table() *Table {
 			"block", "segments", "layers", "policy", "activations", "fwd", "swap",
 		},
 	}
-	g := r.Schedule.Profile.Graph
 	for i, b := range r.Schedule.Blocks {
 		layers := 0
 		for _, pb := range r.Schedule.Profile.Blocks[b.Range[0]:b.Range[1]] {
 			layers += len(pb.Seg.Nodes)
 		}
-		_ = g
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", i),
 			fmt.Sprintf("%d-%d", b.Range[0], b.Range[1]),

@@ -54,7 +54,6 @@ type TopoRow struct {
 func TopologySweep(cl hw.Cluster, gpus int, topos []topo.Topology, ev dist.Evaluator, o FamilyOptions) ([]TopoRow, error) {
 	cfg := model.TuringNLG()
 	const perReplicaBatch = 2 // Figure8Turing's per-GPU parity batch
-	g := dist.CachedTransformer(cfg)
 	clusters := make([]hw.Cluster, len(topos))
 	for i, tp := range topos {
 		clusters[i] = cl.WithTopology(tp)
@@ -66,11 +65,13 @@ func TopologySweep(cl hw.Cluster, gpus int, topos []topo.Topology, ev dist.Evalu
 		switch mi {
 		case 0:
 			_, _, r, err = ZeROBestConfig(cfg, tcl, gpus, ev, o)
-		case 1:
-			r, err = ev.KARMADataParallel(g, tcl, gpus, perReplicaBatch, openWTSamples, o.karma())
 		default:
-			r, err = ev.KARMADataParallel(g, tcl, gpus, perReplicaBatch, openWTSamples,
-				dist.KARMAOptions{ZeROShard: true, Precision: o.Precision})
+			c := dist.Config{
+				Family: "karma-dp", Transformer: cfg, Cluster: tcl,
+				GPUs: gpus, Batch: perReplicaBatch, Samples: openWTSamples, KARMA: o.karma(),
+			}
+			c.KARMA.ZeROShard = mi == 2 // the ZeRO+KARMA combo
+			r, err = dist.Evaluate(ev, c)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("topo %s: %w", topoName(topos[ri]), err)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/profiler"
 	"karma/internal/unit"
@@ -17,9 +16,9 @@ import (
 func fuzzProfile(seed int64, k int) *profiler.Profile {
 	r := rand.New(rand.NewSource(seed))
 	p := &profiler.Profile{
-		Graph: graph.New("fuzz"),
-		Node:  hw.ABCINode(),
-		Opts:  profiler.Options{Batch: 1},
+		Name: "fuzz",
+		Node: hw.ABCINode(),
+		Opts: profiler.Options{Batch: 1},
 	}
 	for i := 0; i < k; i++ {
 		act := unit.Bytes(r.Int63n(512 * int64(unit.MiB)))

@@ -30,7 +30,7 @@ import (
 // the backward swap-in, and drain their gradients to far memory after
 // backward — the Fig. 3 pipeline of one KARMA-DP replica.
 func BuildPlan(s *Schedule) (*plan.Plan, error) {
-	return buildPlan(new(plan.Builder), "karma/"+s.Profile.Graph.Name(), s)
+	return buildPlan(new(plan.Builder), "karma/"+s.Profile.Name, s)
 }
 
 // buildPlan lowers s into the builder's arenas (see BuildPlan for the

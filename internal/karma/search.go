@@ -167,7 +167,7 @@ func newSearcher(p *profiler.Profile, budget unit.Bytes, opts Options) *searcher
 		budget:   budget,
 		bw:       hw.SwapThroughput(p.Node),
 		lat:      p.Node.Link.Latency,
-		name:     "karma/" + p.Graph.Name(),
+		name:     "karma/" + p.Name,
 		merged:   map[[2]int]profiler.Block{},
 		evalMemo: map[string]float64{},
 	}

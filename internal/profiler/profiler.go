@@ -74,6 +74,11 @@ type Block struct {
 	HeavyActBytes unit.Bytes
 	// CheapFwdTime is the recompute cost of the non-heavy portion.
 	CheapFwdTime unit.Seconds
+	// TypeCheapFwdTime is the forward time of every non-heavy layer,
+	// in-place ones included: the recompute cost of a split by layer type
+	// alone (the SuperNeurons baseline), where CheapFwdTime counts only
+	// layers that store an activation.
+	TypeCheapFwdTime unit.Seconds
 	// OutBytes is the boundary activation crossing to the next block.
 	OutBytes unit.Bytes
 	// WeightBytes is the parameter footprint (gradients cost the same
@@ -94,8 +99,10 @@ type Block struct {
 const sgdFLOPsPerParam = 4
 
 // Profile is the full per-block cost table for one (model, node, batch).
+// It holds no reference to the graph it was profiled from: Name is the
+// model's name, and each Block's segment lists node IDs only.
 type Profile struct {
-	Graph  *graph.Graph
+	Name   string
 	Node   hw.Node
 	Opts   Options
 	Blocks []Block
@@ -148,13 +155,14 @@ func New(g *graph.Graph, node hw.Node, opts Options) (*Profile, error) {
 	elem := int64(opts.DType.Size())
 	batch := int64(opts.Batch)
 
-	p := &Profile{Graph: g, Node: node, Opts: opts, Blocks: make([]Block, 0, len(segs))}
+	p := &Profile{Name: g.Name(), Node: node, Opts: opts, Blocks: make([]Block, 0, len(segs))}
 	for _, seg := range segs {
 		st := g.Stats(seg)
-		var actElems, heavyElems, cheapFLOPs int64
+		var actElems, heavyElems, cheapFLOPs, inplaceFLOPs int64
 		for _, id := range seg.Nodes {
 			n := g.Node(id)
 			if inplace(n.L) {
+				inplaceFLOPs += n.FwdFLOPs
 				continue
 			}
 			actElems += n.OutShape.Elems()
@@ -169,17 +177,18 @@ func New(g *graph.Graph, node hw.Node, opts Options) (*Profile, error) {
 			pinned += unit.Bytes(g.Node(e.From).OutShape.Elems() * elem * batch)
 		}
 		b := Block{
-			Seg:           seg,
-			Stats:         st,
-			FwdTime:       unit.ComputeTime(unit.FLOPs(st.FwdFLOPs*batch), rate),
-			BwdTime:       unit.ComputeTime(unit.FLOPs(st.BwdFLOPs*batch), rate),
-			UpdateFLOPs:   unit.FLOPs(st.Params * sgdFLOPsPerParam),
-			ActBytes:      unit.Bytes(float64(actElems*elem*batch) * opts.ActOverhead),
-			HeavyActBytes: unit.Bytes(float64(heavyElems*elem*batch) * opts.ActOverhead),
-			CheapFwdTime:  unit.ComputeTime(unit.FLOPs(cheapFLOPs*batch), rate),
-			OutBytes:      unit.Bytes(st.OutElems * elem * batch),
-			WeightBytes:   unit.Bytes(st.Params * elem),
-			PinnedInBytes: pinned,
+			Seg:              seg,
+			Stats:            st,
+			FwdTime:          unit.ComputeTime(unit.FLOPs(st.FwdFLOPs*batch), rate),
+			BwdTime:          unit.ComputeTime(unit.FLOPs(st.BwdFLOPs*batch), rate),
+			UpdateFLOPs:      unit.FLOPs(st.Params * sgdFLOPsPerParam),
+			ActBytes:         unit.Bytes(float64(actElems*elem*batch) * opts.ActOverhead),
+			HeavyActBytes:    unit.Bytes(float64(heavyElems*elem*batch) * opts.ActOverhead),
+			CheapFwdTime:     unit.ComputeTime(unit.FLOPs(cheapFLOPs*batch), rate),
+			TypeCheapFwdTime: unit.ComputeTime(unit.FLOPs((cheapFLOPs+inplaceFLOPs)*batch), rate),
+			OutBytes:         unit.Bytes(st.OutElems * elem * batch),
+			WeightBytes:      unit.Bytes(st.Params * elem),
+			PinnedInBytes:    pinned,
 		}
 		b.SwapTime = unit.TransferTime(b.ActBytes+b.WeightBytes, swapBW, node.Link.Latency)
 		p.Blocks = append(p.Blocks, b)
@@ -239,6 +248,7 @@ func (p *Profile) MergeBlocks(i, j int) Block {
 		out.ActBytes += b.ActBytes
 		out.HeavyActBytes += b.HeavyActBytes
 		out.CheapFwdTime += b.CheapFwdTime
+		out.TypeCheapFwdTime += b.TypeCheapFwdTime
 		out.OutBytes = b.OutBytes
 		out.WeightBytes += b.WeightBytes
 		out.PinnedInBytes += b.PinnedInBytes
@@ -274,6 +284,7 @@ func (p *Profile) MergeCosts(i, j int) Block {
 		out.ActBytes += b.ActBytes
 		out.HeavyActBytes += b.HeavyActBytes
 		out.CheapFwdTime += b.CheapFwdTime
+		out.TypeCheapFwdTime += b.TypeCheapFwdTime
 		out.OutBytes = b.OutBytes
 		out.WeightBytes += b.WeightBytes
 		out.PinnedInBytes += b.PinnedInBytes

@@ -197,9 +197,10 @@ func (r *EvaluateRequest) normalize() error {
 }
 
 // config resolves the normalized request into the configuration it
-// names: the cluster, the precision, and a registry model's graph
-// (through the dist graph cache, so repeated requests reuse one
-// *graph.Graph and the planner's pointer-keyed caches keep hitting).
+// names: the cluster, the precision, and the model. An explicit
+// transformer stays a value (dist profiles it by value); a registry
+// name resolves through the dist graph cache, so repeated requests
+// reuse one *graph.Graph and its profiles keep hitting.
 func (r *EvaluateRequest) config() (dist.Config, error) {
 	cl, err := r.Cluster.cluster()
 	if err != nil {

@@ -28,7 +28,7 @@
 // semantically identical requests and singleflights identical
 // concurrent ones down to a single evaluation. Below it, the evaluator
 // caches in internal/dist (flight.Cache instances too) dedupe shared
-// sub-computations — graph and shard builds, profiles, partition
+// sub-computations — registry graph builds, profiles, partition
 // searches — across *different* requests. A semaphore caps concurrent evaluations
 // (each of which fans its grid out through internal/sweep's bounded
 // pool), so a request burst degrades by queueing, not by oversubscribing
